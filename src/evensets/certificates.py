@@ -135,15 +135,15 @@ def check_step(step: Step) -> bool:
             inp["degree"], inp["parity"], inp["lower"], inp["upper"])
         return list(out) == expected
     if rule == "chi-eval":
-        return formulas.chi(inp["degree"], inp["twist"], inp["weight"]) == _as_fraction(out)
+        return formulas.chi(inp["degree"], inp["twist"], inp["weight"]) == Fraction(out)
     if rule == "serre-dual":
         return formulas.serre_dual_twist(inp["degree"], inp["twist"]) == out
     if rule == "h0-lower-bound":
-        chi_value = _as_fraction(inp["chi"])
+        chi_value = Fraction(inp["chi"])
         if inp.get("h2_equals_h0"):
             # chi = 2*h0 - h1 <= 2*h0, so h0 >= ceil(chi / 2).
             return out == math.ceil(chi_value / 2)
-        return _as_fraction(out) == chi_value - inp["h2_bound"]
+        return Fraction(out) == chi_value - inp["h2_bound"]
     if rule == "instability-exclusion":
         bound = formulas.unstable_lower_bound(inp["degree"], inp["twist"])
         return out == bound and bound > inp["weight_cap"]
@@ -169,12 +169,6 @@ def check_step(step: Step) -> bool:
     if rule == "conclusion":
         return inp["lower"] == inp["upper"] == out
     raise ValueError(f"unknown certificate rule {rule!r}")
-
-
-def _as_fraction(value: Any) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,6 @@ def cmd_code_project(args) -> dict[str, Any]:
 
 
 def cmd_griesmer(args) -> dict[str, Any]:
-    if (args.n is None) == (args.k is None):
-        raise SystemExit("griesmer: provide exactly one of --n and --k")
     if args.k is not None:
         payload = {"k": args.k, "d": args.d,
                    "n_min": gf2.griesmer_min_length(args.k, args.d)}
@@ -195,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     project.set_defaults(func=cmd_code_project)
 
     griesmer = sub.add_parser("griesmer", parents=[common], help="Griesmer bound calculator")
-    griesmer.add_argument("--n", type=int)
-    griesmer.add_argument("--k", type=int)
+    length_or_dimension = griesmer.add_mutually_exclusive_group(required=True)
+    length_or_dimension.add_argument("--n", type=int)
+    length_or_dimension.add_argument("--k", type=int)
     griesmer.add_argument("--d", type=int, required=True)
     griesmer.set_defaults(func=cmd_griesmer)
 
@@ -237,11 +236,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        return _emit(args.func(args), args)
     except (ValueError, OSError, gf2.EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(report, args)
 
 
 if __name__ == "__main__":

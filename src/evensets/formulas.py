@@ -35,8 +35,10 @@ def chi(s: int, v: int, weight: int) -> Fraction:
     chi = (s*v/8)(v - 2s + 8) + binom(s-1, 3) + 1 - weight/4, as an exact
     reduced fraction (denominator always divides 8).  Integrality of this
     value is what constrains admissible weights.  Negative twists are fine:
-    the expression is polynomial in v.
+    the expression is polynomial in v.  The degree s must be at least 1.
     """
+    if s < 1:
+        raise ValueError(f"surface degree must be at least 1, got {s}")
     return (
         Fraction(s * v, 8) * (v - 2 * s + 8)
         + _binom3(s - 1)

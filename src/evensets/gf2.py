@@ -10,11 +10,12 @@ All values are immutable; nothing here mutates shared state.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from math import comb
 
-# Exhaustive enumeration walks 2^k codewords; refuse beyond this dimension.
+# Largest dimension an exhaustive walk may cover.  Weight statistics walk the
+# smaller of a code and its dual, so for them it bounds min(k, n - k).
 ENUMERATION_CAP = 30
 
 
@@ -27,8 +28,7 @@ class EnumerationCapError(RuntimeError):
 
     def __init__(self, dimension: int, cap: int = ENUMERATION_CAP):
         super().__init__(
-            f"refusing to enumerate 2^{dimension} codewords "
-            f"(cap is 2^{cap}); pass a larger cap explicitly if intended"
+            f"refusing to enumerate 2^{dimension} codewords (cap is 2^{cap})"
         )
         self.dimension = dimension
         self.cap = cap
@@ -215,39 +215,58 @@ def code_from_rows(rows: Sequence[BitWord]) -> LinearCode:
 def enumerate_codewords(code: LinearCode, cap: int = ENUMERATION_CAP) -> Iterator[BitWord]:
     """Yield all 2^k codewords, zero word first.
 
-    Order is fixed: message integers 0, 1, ..., 2^k - 1, where bit i of the
-    message selects basis row i.  Byte-stable across runs.
+    Order is fixed: the binary-reflected Gray code.  Step i (for i >= 1) adds
+    basis row (i & -i).bit_length() - 1 to the previous word, so the i-th word
+    is the message i ^ (i >> 1), where bit r of the message selects basis
+    row r.  Byte-stable across runs.
     """
     k = code.dimension
     if k > cap:
         raise EnumerationCapError(k, cap)
-    for message in range(1 << k):
-        mask = 0
-        m = message
-        i = 0
-        while m:
-            if m & 1:
-                mask ^= code.rows[i]
-            m >>= 1
-            i += 1
-        yield BitWord(code.length, mask)
+    n, rows = code.length, code.rows
+    mask = 0
+    yield BitWord(n, mask)
+    for i in range(1, 1 << k):
+        mask ^= rows[(i & -i).bit_length() - 1]
+        yield BitWord(n, mask)
+
+
+def _krawtchouk(n: int, j: int, i: int) -> int:
+    """Coefficient of z^j in (1 - z)^i (1 + z)^(n - i)."""
+    return sum((-1) ** h * comb(i, h) * comb(n - i, j - h) for h in range(min(i, j) + 1))
+
+
+def _weight_counts(code: LinearCode, cap: int) -> list[int]:
+    """counts[w] = number of codewords of weight w, for w in 0..n.
+
+    The only consumer of enumerate_codewords.  When n - k < k the dual code
+    is smaller, so it is enumerated instead and its counts B_i are mapped
+    back by the MacWilliams identity A_j = 2^-(n-k) * sum_i B_i K_j(i),
+    which is exact in integers.  The cap applies to the dimension walked.
+    """
+    n, k = code.length, code.dimension
+    walked = dual_code(code) if n - k < k else code
+    counts = [0] * (n + 1)
+    for w in enumerate_codewords(walked, cap):
+        counts[w.mask.bit_count()] += 1
+    if walked is code:
+        return counts
+    weights = [(i, b) for i, b in enumerate(counts) if b]
+    return [sum(b * _krawtchouk(n, j, i) for i, b in weights) >> (n - k)
+            for j in range(n + 1)]
 
 
 def weight_distribution(code: LinearCode, cap: int = ENUMERATION_CAP) -> dict[int, int]:
-    """Exact weight counts by exhaustive enumeration."""
-    counts: Counter[int] = Counter()
-    for w in enumerate_codewords(code, cap):
-        counts[w.weight] += 1
-    return dict(sorted(counts.items()))
+    """Exact weight counts, ascending by weight; zero counts are left out."""
+    return {w: c for w, c in enumerate(_weight_counts(code, cap)) if c}
 
 
 def minimum_distance(code: LinearCode, cap: int = ENUMERATION_CAP) -> int:
     """Minimum weight over nonzero codewords."""
     if code.dimension == 0:
         raise ValueError("the zero code has no nonzero words")
-    it = enumerate_codewords(code, cap)
-    next(it)  # skip the zero word
-    return min(w.weight for w in it)
+    counts = _weight_counts(code, cap)
+    return next(w for w in range(1, len(counts)) if counts[w])
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -271,18 +290,14 @@ def dual_code(code: LinearCode) -> LinearCode:
 def classify_parity(code: LinearCode, cap: int = ENUMERATION_CAP) -> str:
     """Strongest of 'doubly-even', 'even', 'not-even' holding for all codewords.
 
-    Checked over the full codeword list rather than via the generator
-    criterion, so it stays an independent witness for the self-orthogonality
-    theorems the test suite validates.
+    Read off the exact weight counts rather than the generator criterion, so
+    it stays an independent witness for the self-orthogonality theorems the
+    test suite validates.
     """
-    doubly = True
-    even = True
-    for w in enumerate_codewords(code, cap):
-        if w.weight % 2:
-            return "not-even"
-        if w.weight % 4:
-            doubly = False
-    return "doubly-even" if doubly and even else "even"
+    weights = [w for w, c in enumerate(_weight_counts(code, cap)) if c]
+    if any(w % 2 for w in weights):
+        return "not-even"
+    return "doubly-even" if all(w % 4 == 0 for w in weights) else "even"
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:

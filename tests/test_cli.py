@@ -93,10 +93,12 @@ class TestCalculators:
         assert json.loads(out)["payload"]["k_max"] == 8
 
     def test_griesmer_requires_one_of_n_k(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as neither:
             cli.main(["griesmer", "--d", "32"])
-        with pytest.raises(SystemExit):
+        assert neither.value.code == 2
+        with pytest.raises(SystemExit) as both:
             cli.main(["griesmer", "--n", "65", "--k", "12", "--d", "32"])
+        assert both.value.code == 2
 
     def test_chi_integer(self, capsys):
         code, out, _ = run_cli(capsys, ["--json", "chi", "--degree", "8",
@@ -113,6 +115,14 @@ class TestCalculators:
         payload = json.loads(out)["payload"]
         assert payload["chi"] == "5/2"
         assert payload["is_integer"] is False
+
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_chi_nonpositive_degree_exits_2(self, capsys, degree):
+        code, out, err = run_cli(capsys, ["chi", "--degree", degree,
+                                          "--twist", "1", "--weight", "0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "degree" in err
 
     def test_emin(self, capsys):
         _, out, _ = run_cli(capsys, ["--json", "emin", "--degree", "7"])
@@ -207,6 +217,15 @@ class TestOutputHandling:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["payload"]["chi"] == "0"
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "report.json"
+        code, out, err = run_cli(capsys, ["--json", "--output", str(target),
+                                          "emin", "--degree", "3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.exists()
 
     def test_text_and_json_agree_numerically(self, capsys):
         argv = ["surface", "bounds", "--degree", "4", "--nodes", "16"]

@@ -41,6 +41,11 @@ class TestChi:
     def test_negative_twists_allowed(self):
         assert chi(4, -2, 8).denominator in (1, 2, 4, 8)
 
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_nonpositive_degree_rejected(self, s):
+        with pytest.raises(ValueError, match="degree"):
+            chi(s, 1, 0)
+
 
 class TestSerreDual:
     @pytest.mark.parametrize("s,v,expected", [

@@ -1,3 +1,6 @@
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,3 +300,69 @@ class TestProperties:
             return
         image, _ = gf2.project_onto_support(code, w)
         assert all(v % 8 == 0 for v in gf2.weight_distribution(image))
+
+
+def message_order_weights(code: LinearCode) -> list[int]:
+    """Weights of all 2^k codewords, each rebuilt from its message bits."""
+    weights = []
+    for message in range(1 << code.dimension):
+        mask = 0
+        for r, row in enumerate(code.rows):
+            if message >> r & 1:
+                mask ^= row
+        weights.append(mask.bit_count())
+    return weights
+
+
+@st.composite
+def small_codes(draw):
+    n = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    return draw(st.sampled_from([
+        gf2.code_from_rows([BitWord(n, m) for m in masks]) if any(masks)
+        else LinearCode.zero_code(n),
+        LinearCode.zero_code(n),
+        LinearCode.full_space(n),
+    ]))
+
+
+class TestEnumeratorAgainstMessageOrder:
+    """Gray-code walk and the MacWilliams dual path against a naive walk.
+
+    Each example checks a code and its dual, so unless n = 2k one of the two
+    has n - k < k and takes the dual path.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_codes())
+    def test_analytics_match(self, code):
+        for c in (code, gf2.dual_code(code)):
+            weights = message_order_weights(c)
+            assert gf2.weight_distribution(c) == dict(sorted(Counter(weights).items()))
+            if c.dimension:
+                assert gf2.minimum_distance(c) == min(w for w in weights if w)
+            else:
+                with pytest.raises(ValueError):
+                    gf2.minimum_distance(c)
+            expected = ("not-even" if any(w % 2 for w in weights)
+                        else "even" if any(w % 4 for w in weights)
+                        else "doubly-even")
+            assert gf2.classify_parity(c) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_codes())
+    def test_walk_visits_every_codeword_once(self, code):
+        words = list(gf2.enumerate_codewords(code))
+        assert words[0] == BitWord.zero(code.length)
+        assert len(words) == len(set(words)) == 1 << code.dimension
+        assert all(code.contains(w) for w in words)
+
+    def test_cap_bounds_the_dimension_walked(self):
+        # full space [8, 8]: its dual is the zero code, so nothing near 2^4 is walked
+        assert gf2.weight_distribution(LinearCode.full_space(8), cap=4) == {
+            w: comb(8, w) for w in range(9)}
+        half_rate = gf2.code_from_rows(
+            [BitWord.from_support(16, (i, i + 8)) for i in range(8)])
+        assert half_rate.dimension == 8
+        with pytest.raises(gf2.EnumerationCapError):
+            gf2.weight_distribution(half_rate, cap=4)
