@@ -3,20 +3,15 @@
 from .gf2 import (
     BitWord,
     LinearCode,
-    add_words,
     classify_parity,
-    code_from_rows,
     dual_code,
     enumerate_codewords,
     griesmer_max_dim,
     griesmer_min_length,
-    intersection_weight,
     is_self_orthogonal,
     minimum_distance,
     parse_generator_matrix,
     project_onto_support,
-    support,
-    weight,
     weight_distribution,
 )
 from .surfaces import (

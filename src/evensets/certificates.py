@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -24,17 +24,6 @@ from . import formulas, gf2, surfaces
 from .surfaces import STRICT, WEAK
 
 SCHEMA_VERSION = "1"
-
-# Rules whose asserted output is recomputable from the recorded inputs.
-ARITHMETIC_RULES = frozenset({
-    "divisibility", "chi-eval", "serre-dual", "h0-lower-bound",
-    "instability-exclusion", "plane-conclusion", "quadric-conclusion",
-    "dimension-bound", "griesmer", "projection-kernel",
-    "self-orthogonality-bound", "conclusion",
-})
-# Rules recording cited geometric facts or noted discrepancies; always valid.
-CITED_RULES = frozenset({"hypothesis", "deviation-note"})
-
 
 class UnprovenCaseError(ValueError):
     """No established argument exists for this (degree, parity) pair."""
@@ -79,41 +68,32 @@ class ProofCertificate:
         return [i for i, s in enumerate(self.steps) if not check_step(s)]
 
     def to_dict(self) -> dict[str, Any]:
-        if isinstance(self.conclusion, GapReport):
-            conclusion = {
-                "degree": self.conclusion.degree,
-                "parity": self.conclusion.parity,
-                "min_weight": self.conclusion.min_weight,
-                "excluded_weights": list(self.conclusion.excluded_weights),
-                "upper_endpoint": self.conclusion.upper_endpoint,
-            }
-        else:
-            conclusion = _encode(self.conclusion)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "degree": self.degree,
-            "parity": self.parity,
-            "steps": [
-                {
-                    "rule": s.rule,
-                    "inputs": {k: _encode(v) for k, v in sorted(s.inputs.items())},
-                    "asserted_output": _encode(s.asserted_output),
-                    "note": s.note,
-                }
-                for s in self.steps
-            ],
-            "conclusion": conclusion,
-        }
+        return {"schema_version": SCHEMA_VERSION, **_encode(vars(self))}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _encode(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    """JSON-ready form with a deterministic layout, used for every report.
+
+    Fractions become an int when integral, else "p/q"; a LinearCode becomes
+    its length and basis bit strings; other dataclasses go through their
+    field dicts; dicts are sorted by their original keys, which become
+    strings, so numeric keys keep numeric order.
+    """
+    if isinstance(value, (int, str)):
+        return value
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in sorted(value.items())}
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    if isinstance(value, gf2.LinearCode):
+        return {"length": value.length, "rows": [str(w) for w in value.basis()]}
+    if is_dataclass(value):
+        return _encode(vars(value))
     return value
 
 
@@ -125,50 +105,63 @@ def _admissible_weights(s: int, parity: str, lower: int, upper: int) -> list[int
     return [w for w in range(lower, upper + 1) if w % modulus == residue]
 
 
+def _h0_lower_bound(inp: dict[str, Any], out: Any) -> bool:
+    chi_value = Fraction(inp["chi"])
+    if inp.get("h2_equals_h0"):
+        # chi = 2*h0 - h1 <= 2*h0, so h0 >= ceil(chi / 2).
+        return out == math.ceil(chi_value / 2)
+    return Fraction(out) == chi_value - inp["h2_bound"]
+
+
+def _griesmer(inp: dict[str, Any], out: Any) -> bool:
+    length = gf2.griesmer_min_length(inp["k"], inp["d"])
+    budget = inp.get("length_budget")
+    return out == length and (budget is None or length > budget)
+
+
+def _cited(inp: dict[str, Any], out: Any) -> bool:
+    return True
+
+
+# One checker per rule: checker(inputs, asserted_output) -> bool.  Checkers
+# reach their callees as module attributes (formulas.chi) at call time, so a
+# function replaced on its module is replaced here too.  Cited rules record
+# geometric facts or noted discrepancies and are always valid.
+CHECKERS = {
+    "hypothesis": _cited,
+    "deviation-note": _cited,
+    "divisibility": lambda inp, out: list(out) == _admissible_weights(
+        inp["degree"], inp["parity"], inp["lower"], inp["upper"]),
+    "chi-eval": lambda inp, out: formulas.chi(
+        inp["degree"], inp["twist"], inp["weight"]) == Fraction(out),
+    "serre-dual": lambda inp, out: formulas.serre_dual_twist(
+        inp["degree"], inp["twist"]) == out,
+    "h0-lower-bound": _h0_lower_bound,
+    # The bound must equal the output and exceed every weight considered.
+    "instability-exclusion": lambda inp, out: out == formulas.unstable_lower_bound(
+        inp["degree"], inp["twist"]) > inp["weight_cap"],
+    "plane-conclusion": lambda inp, out: out == formulas.plane_contact_weight(
+        inp["degree"]),
+    "quadric-conclusion": lambda inp, out: out == formulas.quadric_contact_weight(
+        inp["degree"]),
+    "dimension-bound": lambda inp, out: out == surfaces.dim_lower_bound(
+        surfaces.NodalSurface(inp["degree"], inp["nodes"]), inp["parity"]),
+    "griesmer": _griesmer,
+    # A nonzero kernel word would be disjoint from the projected word,
+    # making their sum heavier than any admissible weight.
+    "projection-kernel": lambda inp, out: (
+        inp["disjoint_sum"] > inp["max_admissible"] and out == 0),
+    "self-orthogonality-bound": lambda inp, out: out == inp["length"] // 2,
+    "conclusion": lambda inp, out: inp["lower"] == inp["upper"] == out,
+}
+
+
 def check_step(step: Step) -> bool:
-    """Re-evaluate one step from its recorded inputs."""
-    rule, inp, out = step.rule, step.inputs, step.asserted_output
-    if rule in CITED_RULES:
-        return True
-    if rule == "divisibility":
-        expected = _admissible_weights(
-            inp["degree"], inp["parity"], inp["lower"], inp["upper"])
-        return list(out) == expected
-    if rule == "chi-eval":
-        return formulas.chi(inp["degree"], inp["twist"], inp["weight"]) == Fraction(out)
-    if rule == "serre-dual":
-        return formulas.serre_dual_twist(inp["degree"], inp["twist"]) == out
-    if rule == "h0-lower-bound":
-        chi_value = Fraction(inp["chi"])
-        if inp.get("h2_equals_h0"):
-            # chi = 2*h0 - h1 <= 2*h0, so h0 >= ceil(chi / 2).
-            return out == math.ceil(chi_value / 2)
-        return Fraction(out) == chi_value - inp["h2_bound"]
-    if rule == "instability-exclusion":
-        bound = formulas.unstable_lower_bound(inp["degree"], inp["twist"])
-        return out == bound and bound > inp["weight_cap"]
-    if rule == "plane-conclusion":
-        return out == formulas.plane_contact_weight(inp["degree"])
-    if rule == "quadric-conclusion":
-        return out == formulas.quadric_contact_weight(inp["degree"])
-    if rule == "dimension-bound":
-        surface = surfaces.NodalSurface(inp["degree"], inp["nodes"])
-        return out == surfaces.dim_lower_bound(surface, inp["parity"])
-    if rule == "griesmer":
-        length = gf2.griesmer_min_length(inp["k"], inp["d"])
-        if out != length:
-            return False
-        budget = inp.get("length_budget")
-        return budget is None or length > budget
-    if rule == "projection-kernel":
-        # A nonzero kernel word would be disjoint from the projected word,
-        # making their sum heavier than any admissible weight.
-        return inp["disjoint_sum"] > inp["max_admissible"] and out == 0
-    if rule == "self-orthogonality-bound":
-        return out == inp["length"] // 2
-    if rule == "conclusion":
-        return inp["lower"] == inp["upper"] == out
-    raise ValueError(f"unknown certificate rule {rule!r}")
+    """Re-evaluate one step from its recorded inputs with its rule's checker."""
+    checker = CHECKERS.get(step.rule)
+    if checker is None:
+        raise ValueError(f"unknown certificate rule {step.rule!r}")
+    return checker(step.inputs, step.asserted_output)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
@@ -22,13 +21,9 @@ from . import certificates, formulas, gf2, surfaces, verification
 from .surfaces import STRICT, WEAK
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(int(value)) if value.denominator == 1 else str(value)
-
-
 def _load_code(path: str) -> gf2.LinearCode:
     text = Path(path).read_text(encoding="utf-8")
-    return gf2.code_from_rows(gf2.parse_generator_matrix(text))
+    return gf2.LinearCode.from_rows(gf2.parse_generator_matrix(text))
 
 
 def cmd_code_analyze(args) -> dict[str, Any]:
@@ -39,7 +34,7 @@ def cmd_code_analyze(args) -> dict[str, Any]:
         "n": code.length,
         "k": code.dimension,
         "minimum_distance": gf2.minimum_distance(code) if code.dimension else None,
-        "weight_distribution": {str(w): c for w, c in distribution.items()},
+        "weight_distribution": certificates._encode(distribution),
         "parity_class": gf2.classify_parity(code),
         "self_orthogonal": gf2.is_self_orthogonal(code),
         "dual_dimension": code.length - code.dimension,
@@ -57,8 +52,8 @@ def cmd_code_project(args) -> dict[str, Any]:
         "image_n": image.length,
         "image_k": image.dimension,
         "kernel_dimension": kernel_dim,
-        "image_weight_distribution": {
-            str(w): c for w, c in gf2.weight_distribution(image).items()},
+        "image_weight_distribution": certificates._encode(
+            gf2.weight_distribution(image)),
     }
     return {"command": "code project", "status": "info", "payload": payload}
 
@@ -79,7 +74,7 @@ def cmd_chi(args) -> dict[str, Any]:
         "degree": args.degree,
         "twist": args.twist,
         "weight": args.weight,
-        "chi": _fraction_str(value),
+        "chi": str(value),
         "is_integer": value.denominator == 1,
         "serre_dual_twist": formulas.serre_dual_twist(args.degree, args.twist),
     }

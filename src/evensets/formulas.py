@@ -29,6 +29,11 @@ def _binom3(n: int) -> int:
     return n * (n - 1) * (n - 2) // 6 if n >= 3 else 0
 
 
+def _require_degree(s: int) -> None:
+    if s < 1:
+        raise ValueError(f"surface degree must be at least 1, got {s}")
+
+
 def chi(s: int, v: int, weight: int) -> Fraction:
     """Euler characteristic of the half-twist bundle for (degree, twist, weight).
 
@@ -37,14 +42,9 @@ def chi(s: int, v: int, weight: int) -> Fraction:
     value is what constrains admissible weights.  Negative twists are fine:
     the expression is polynomial in v.  The degree s must be at least 1.
     """
-    if s < 1:
-        raise ValueError(f"surface degree must be at least 1, got {s}")
-    return (
-        Fraction(s * v, 8) * (v - 2 * s + 8)
-        + _binom3(s - 1)
-        + 1
-        - Fraction(weight, 4)
-    )
+    _require_degree(s)
+    return Fraction(
+        s * v * (v - 2 * s + 8) + 8 * (_binom3(s - 1) + 1) - 2 * weight, 8)
 
 
 def serre_dual_twist(s: int, v: int) -> int:
@@ -113,6 +113,7 @@ def e_min(s: int) -> int:
     s(s-2) for even s, (s-1)^2 for odd s; established only for the degrees
     in PROVEN_STRICT_DEGREES.
     """
+    _require_degree(s)
     if s not in PROVEN_STRICT_DEGREES:
         raise UnprovenDegreeError(s, PROVEN_STRICT_DEGREES)
     return quadric_contact_weight(s)
@@ -120,6 +121,7 @@ def e_min(s: int) -> int:
 
 def e_bar_min(s: int) -> int:
     """Minimal weight of a nonzero weakly even set in degree s: s(s-1)/2."""
+    _require_degree(s)
     if s not in PROVEN_WEAK_DEGREES:
         raise UnprovenDegreeError(s, PROVEN_WEAK_DEGREES)
     return plane_contact_weight(s)

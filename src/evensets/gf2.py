@@ -111,22 +111,6 @@ class BitWord:
         return [i for i in range(self.length) if self.mask >> i & 1]
 
 
-def weight(w: BitWord) -> int:
-    return w.weight
-
-
-def add_words(v: BitWord, w: BitWord) -> BitWord:
-    return v + w
-
-
-def intersection_weight(v: BitWord, w: BitWord) -> int:
-    return v.intersection_weight(w)
-
-
-def support(w: BitWord) -> list[int]:
-    return w.support()
-
-
 def _rref(length: int, masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced row-echelon form over GF(2).  Returns (rows, pivot columns)."""
     rows = [m for m in masks if m]
@@ -206,10 +190,6 @@ class LinearCode:
             if residue & low:
                 residue ^= row
         return residue == 0
-
-
-def code_from_rows(rows: Sequence[BitWord]) -> LinearCode:
-    return LinearCode.from_rows(rows)
 
 
 def enumerate_codewords(code: LinearCode, cap: int = ENUMERATION_CAP) -> Iterator[BitWord]:
@@ -337,17 +317,27 @@ def griesmer_min_length(k: int, d: int) -> int:
     """Minimal length of any [n, k, d] code: sum of ceil(d / 2^i), i < k."""
     if k < 1 or d < 1:
         raise ValueError("k and d must be positive")
-    return sum(-(-d // (1 << i)) for i in range(k))
+    # ceil(d / 2^i) == 1 for every i >= top, so those terms add up to k - top.
+    top = (d - 1).bit_length()
+    return sum(-(-d // (1 << i)) for i in range(min(k, top))) + max(0, k - top)
 
 
 def griesmer_max_dim(n: int, d: int) -> int:
     """Largest k admitted by the Griesmer bound for given n and d."""
+    if d < 1:
+        raise ValueError(f"minimum distance must be at least 1, got {d}")
     if d > n:
         raise ValueError(f"minimum distance {d} exceeds length {n}")
-    k = 0
-    while griesmer_min_length(k + 1, d) <= n:
+    top = (d - 1).bit_length()
+    k = length = 0
+    while k < top:
+        term = -(-d // (1 << k))
+        if length + term > n:
+            return k
+        length += term
         k += 1
-    return k
+    # From k = top on, each further dimension adds exactly 1 to the length.
+    return top + n - length
 
 
 def parse_generator_matrix(text: str) -> list[BitWord]:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import certificates, formulas, gf2, surfaces
-from .surfaces import STRICT, WEAK
+from .surfaces import STRICT
 
 # chi closed forms at fixed (degree, twist): chi = (a - weight) / 4.
 # Twists paired by duality share a line.
@@ -84,7 +84,7 @@ def run_full_verification(data_dir: Optional[Path] = None) -> dict[str, Any]:
     ))
 
     for label, expected in (("kummer", kummer), ("togliatti", togliatti)):
-        parsed = gf2.code_from_rows(
+        parsed = gf2.LinearCode.from_rows(
             gf2.parse_generator_matrix(_data_text(f"{label}.txt", data_dir)))
         checks.append(_check(f"{label} data file round trip", expected, parsed))
 
@@ -133,20 +133,7 @@ def run_full_verification(data_dir: Optional[Path] = None) -> dict[str, Any]:
 
     return {
         "name": "full-verification",
-        "checks": [
-            {**c, "expected": _plain(c["expected"]), "actual": _plain(c["actual"])}
-            for c in checks
-        ],
+        "checks": certificates._encode(checks),
         "pass": all(c["pass"] for c in checks),
     }
 
-
-def _plain(value: Any) -> Any:
-    """JSON-friendly encoding with deterministic form."""
-    if isinstance(value, gf2.LinearCode):
-        return {"length": value.length, "rows": [str(w) for w in value.basis()]}
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value

@@ -125,7 +125,7 @@ def test_criterion_10_property_suites():
         n = rng.randint(1, 24)
         rows = [gf2.BitWord(n, rng.getrandbits(n))
                 for _ in range(rng.randint(1, 10))]
-        code = (gf2.code_from_rows(rows) if any(r.mask for r in rows)
+        code = (gf2.LinearCode.from_rows(rows) if any(r.mask for r in rows)
                 else gf2.LinearCode.zero_code(n))
         dual = gf2.dual_code(code)
         ok &= code.dimension + dual.dimension == n

@@ -4,6 +4,7 @@ import pytest
 
 from evensets import certificates, formulas
 from evensets.certificates import (
+    CHECKERS,
     GAP_TABLE,
     Step,
     check_step,
@@ -112,6 +113,46 @@ class TestStepChecking:
             cert.degree, cert.parity, tuple(steps), cert.conclusion)
         assert not tampered.validate()
         assert idx in tampered.invalid_steps()
+
+
+CITED_RULES = {"hypothesis", "deviation-note"}
+
+
+def all_certificates():
+    return ([derive_gaps(s, parity) for s, parity in certificates._proven_pairs()]
+            + [sextic_dim_certificate()])
+
+
+def mutants(step):
+    """Outputs one edit away from the asserted one."""
+    out = step.asserted_output
+    if step.rule == "divisibility":
+        for i in range(len(out)):
+            yield out[:i] + out[i + 1:]
+        yield out + [out[-1] + 1]
+        yield sorted(out + [out[0] + 1])
+    else:
+        yield out + 1
+        yield out - 1
+
+
+class TestRuleTable:
+    def test_every_rule_is_used(self):
+        used = {step.rule for cert in all_certificates() for step in cert.steps}
+        assert set(CHECKERS) == used
+
+    def test_every_arithmetic_mutant_rejected(self):
+        checked = 0
+        for cert in all_certificates():
+            for step in cert.steps:
+                if step.rule in CITED_RULES:
+                    continue
+                assert check_step(step)
+                for wrong in mutants(step):
+                    mutant = Step(step.rule, step.inputs, wrong, step.note)
+                    assert not check_step(mutant), (cert.degree, cert.parity, mutant)
+                    checked += 1
+        assert checked > 200
 
 
 class TestSexticCertificate:

@@ -1,9 +1,9 @@
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
 from importlib import resources
-from pathlib import Path
 
 import pytest
 
@@ -22,6 +22,24 @@ def kummer_file(tmp_path):
     path = tmp_path / "kummer.txt"
     path.write_text(text)
     return str(path)
+
+
+# sha256 of the stdout bytes, pinned so that refactors of the encoders
+# and the certificate checks cannot change a report unnoticed.
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "paper"],
+     "01bbdcab15bed5a87b969dc2080710d6c4bfce0b2e365fdfcb840f7325d08d1d"),
+    (["--json", "verify", "paper"],
+     "cee55818e6d7abd56bd63a0bd79d19736dd14622da833d8ffeffb7ad1c4e4595"),
+    (["gaps", "--degree", "10", "--parity", "strict"],
+     "46d80a35b03f62b8bbf51830981c4581bb2612e0c159d9b92f05958a4b0590cd"),
+    (["--json", "gaps", "--degree", "10", "--parity", "strict"],
+     "31ecf4716fd9e4bbce24713e338f743dcdaaca2a21625ef450f7dbc7e216e0b4"),
+])
+def test_stdout_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestCodeAnalyze:
@@ -100,6 +118,17 @@ class TestCalculators:
             cli.main(["griesmer", "--n", "65", "--k", "12", "--d", "32"])
         assert both.value.code == 2
 
+    def test_griesmer_huge_dimension_is_fast(self, capsys):
+        code, out, _ = run_cli(capsys, ["--json", "griesmer", "--k", "100000000",
+                                        "--d", "1"])
+        assert code == 0
+        assert json.loads(out)["payload"]["n_min"] == 100000000
+
+    def test_griesmer_zero_distance_names_d(self, capsys):
+        code, _, err = run_cli(capsys, ["griesmer", "--n", "5", "--d", "0"])
+        assert code == 2
+        assert err == "error: minimum distance must be at least 1, got 0\n"
+
     def test_chi_integer(self, capsys):
         code, out, _ = run_cli(capsys, ["--json", "chi", "--degree", "8",
                                         "--twist", "4", "--weight", "56"])
@@ -130,6 +159,13 @@ class TestCalculators:
         _, out, _ = run_cli(capsys, ["--json", "emin", "--degree", "8",
                                      "--weak"])
         assert json.loads(out)["payload"]["min_weight"] == 28
+
+    @pytest.mark.parametrize("argv", [["--degree", "-1"], ["--degree", "0", "--weak"]])
+    def test_emin_nonpositive_degree_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["emin", *argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "at least 1" in err
 
     def test_emin_unproven_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["emin", "--degree", "9"])

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evensets import formulas
 from evensets.formulas import chi, serre_dual_twist
@@ -40,6 +42,12 @@ class TestChi:
 
     def test_negative_twists_allowed(self):
         assert chi(4, -2, 8).denominator in (1, 2, 4, 8)
+
+    @given(st.integers(1, 40), st.integers(-60, 60), st.integers(0, 2000))
+    def test_equals_the_rational_formula(self, s, v, w):
+        binom = (s - 1) * (s - 2) * (s - 3) // 6
+        expected = Fraction(s * v, 8) * (v - 2 * s + 8) + binom + 1 - Fraction(w, 4)
+        assert chi(s, v, w) == expected
 
     @pytest.mark.parametrize("s", [0, -3])
     def test_nonpositive_degree_rejected(self, s):
@@ -146,6 +154,12 @@ class TestMinimalWeights:
             formulas.e_min(9)
         with pytest.raises(formulas.UnprovenDegreeError):
             formulas.e_bar_min(6 + 4)  # 10 is unproven for the weak case
+
+    @pytest.mark.parametrize("fn", [formulas.e_min, formulas.e_bar_min])
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_nonpositive_degree_rejected(self, fn, s):
+        with pytest.raises(ValueError, match=f"at least 1, got {s}$"):
+            fn(s)
 
     def test_gap_endpoints(self):
         assert formulas.smooth_cubic_weight(8) == 60

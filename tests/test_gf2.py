@@ -60,20 +60,20 @@ class TestBitWord:
 
 class TestLinearCode:
     def test_duplicate_rows_drop(self):
-        code = gf2.code_from_rows([word("1100"), word("1100"), word("0011")])
+        code = LinearCode.from_rows([word("1100"), word("1100"), word("0011")])
         assert code.dimension == 2
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
-            gf2.code_from_rows([])
+            LinearCode.from_rows([])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(gf2.LengthMismatchError):
-            gf2.code_from_rows([word("110"), word("1100")])
+            LinearCode.from_rows([word("110"), word("1100")])
 
     def test_canonical_equality(self):
-        a = gf2.code_from_rows([word("110"), word("011")])
-        b = gf2.code_from_rows([word("101"), word("011")])
+        a = LinearCode.from_rows([word("110"), word("011")])
+        b = LinearCode.from_rows([word("101"), word("011")])
         assert a == b
 
     def test_contains(self):
@@ -119,7 +119,7 @@ class TestWeightAnalytics:
     def test_minimum_distance(self):
         assert gf2.minimum_distance(kummer_code()) == 8
         assert gf2.minimum_distance(togliatti_code()) == 16
-        assert gf2.minimum_distance(gf2.code_from_rows([word("1111")])) == 4
+        assert gf2.minimum_distance(LinearCode.from_rows([word("1111")])) == 4
 
     def test_minimum_distance_zero_code(self):
         with pytest.raises(ValueError):
@@ -154,8 +154,8 @@ class TestParity:
         assert gf2.classify_parity(kummer_code()) == "doubly-even"
 
     def test_even_and_not_even(self):
-        assert gf2.classify_parity(gf2.code_from_rows([word("110")])) == "even"
-        assert gf2.classify_parity(gf2.code_from_rows([word("100")])) == "not-even"
+        assert gf2.classify_parity(LinearCode.from_rows([word("110")])) == "even"
+        assert gf2.classify_parity(LinearCode.from_rows([word("100")])) == "not-even"
 
     def test_self_orthogonality(self):
         assert gf2.is_self_orthogonal(kummer_code())
@@ -194,6 +194,17 @@ class TestProjection:
             assert all(v % 4 == 0 for v in gf2.weight_distribution(image))
 
 
+def plain_griesmer_length(k, d):
+    return sum(-(-d // (1 << i)) for i in range(k))
+
+
+def plain_griesmer_dim(n, d):
+    k = 0
+    while plain_griesmer_length(k + 1, d) <= n:
+        k += 1
+    return k
+
+
 class TestGriesmer:
     def test_min_length_values(self):
         assert gf2.griesmer_min_length(5, 16) == 31
@@ -206,22 +217,32 @@ class TestGriesmer:
         assert gf2.griesmer_max_dim(31, 16) == 5
 
     def test_max_dim_by_scanning(self):
-        # oracle: largest k whose summed lengths fit, by direct scan
-        def scan(n, d):
-            k = 0
-            while sum(-(-d // (1 << i)) for i in range(k + 1)) <= n:
-                k += 1
-            return k
-
         for n, d in ((16, 8), (31, 16), (65, 32), (24, 12)):
-            assert gf2.griesmer_max_dim(n, d) == scan(n, d)
+            assert gf2.griesmer_max_dim(n, d) == plain_griesmer_dim(n, d)
         # a dimension-12 code of distance 32 needs length 69 > 65, and the
         # largest dimension actually admitted at length 65 is 8
         assert gf2.griesmer_max_dim(65, 32) == 8
 
+    @given(st.integers(1, 40), st.integers(1, 300))
+    def test_min_length_matches_plain_sum(self, k, d):
+        assert gf2.griesmer_min_length(k, d) == plain_griesmer_length(k, d)
+
+    @given(st.integers(1, 300), st.integers(0, 80))
+    def test_max_dim_matches_plain_loop(self, d, slack):
+        n = d + slack
+        assert gf2.griesmer_max_dim(n, d) == plain_griesmer_dim(n, d)
+
+    def test_huge_arguments(self):
+        assert gf2.griesmer_min_length(10**8, 1) == 10**8
+        assert gf2.griesmer_min_length(10**8, 32) == 10**8 - 5 + 62
+        assert gf2.griesmer_max_dim(10**9, 1) == 10**9
+        assert gf2.griesmer_max_dim(10**9, 32) == 10**9 + 5 - 62
+
     def test_max_dim_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds length"):
             gf2.griesmer_max_dim(16, 17)
+        with pytest.raises(ValueError, match="minimum distance must be at least 1, got 0"):
+            gf2.griesmer_max_dim(5, 0)
 
     @given(st.integers(1, 12), st.integers(1, 64))
     def test_monotonicity(self, k, d):
@@ -264,7 +285,7 @@ def random_codes(draw):
     n_rows = draw(st.integers(1, 10))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1),
                           min_size=n_rows, max_size=n_rows))
-    return gf2.code_from_rows([BitWord(n, m) for m in masks]) if any(masks) \
+    return LinearCode.from_rows([BitWord(n, m) for m in masks]) if any(masks) \
         else LinearCode.zero_code(n)
 
 
@@ -319,7 +340,7 @@ def small_codes(draw):
     n = draw(st.integers(1, 12))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
     return draw(st.sampled_from([
-        gf2.code_from_rows([BitWord(n, m) for m in masks]) if any(masks)
+        LinearCode.from_rows([BitWord(n, m) for m in masks]) if any(masks)
         else LinearCode.zero_code(n),
         LinearCode.zero_code(n),
         LinearCode.full_space(n),
@@ -361,7 +382,7 @@ class TestEnumeratorAgainstMessageOrder:
         # full space [8, 8]: its dual is the zero code, so nothing near 2^4 is walked
         assert gf2.weight_distribution(LinearCode.full_space(8), cap=4) == {
             w: comb(8, w) for w in range(9)}
-        half_rate = gf2.code_from_rows(
+        half_rate = LinearCode.from_rows(
             [BitWord.from_support(16, (i, i + 8)) for i in range(8)])
         assert half_rate.dimension == 8
         with pytest.raises(gf2.EnumerationCapError):
