@@ -210,6 +210,7 @@ _H2_HYPOTHESES = {
 
 def derive_gaps(s: int, parity: str) -> ProofCertificate:
     """Replay the minimal-weight argument for one (degree, parity) pair."""
+    formulas._require_degree(s)
     if parity not in surfaces.PARITIES:
         raise ValueError(f"parity must be one of {surfaces.PARITIES}, got {parity!r}")
     if parity == WEAK and s == 2:
@@ -363,9 +364,6 @@ def sextic_dim_certificate() -> ProofCertificate:
     )
     return ProofCertificate(s, STRICT, steps, 12)
 
-
-STRICT_MINIMA = {3: 4, 4: 8, 5: 16, 6: 24, 7: 36, 8: 48, 10: 80}
-WEAK_MINIMA = {2: 1, 4: 6, 6: 15, 8: 28}
 
 # Excluded-weight table, by (degree, parity), for the degrees it covers.
 GAP_TABLE = {

@@ -57,7 +57,10 @@ def serre_dual_twist(s: int, v: int) -> int:
 
 
 def gallarati_check(m: int, n: int, q: int, t: int, sing_s: int) -> bool:
-    """Check the contact relation q*(t - sing_s) = m*n*(m - n)."""
+    """Check the paper's contact relation q*(t - sing_s) = m*n*(m - n).
+
+    Public only: the certificates use reduced_contact_lower_bound instead.
+    """
     return q * (t - sing_s) == m * n * (m - n)
 
 
@@ -72,7 +75,7 @@ def contact_count_nodal(s: int, v: int, beta: int) -> int:
     product = s * v * (s - v)
     if product % 2:
         raise ValueError(f"s*v*(s-v) = {product} is odd; no even set matches")
-    return product // 2 + beta
+    return reduced_contact_lower_bound(s, v) + beta
 
 
 def reduced_contact_lower_bound(s: int, v: int) -> int:
@@ -94,9 +97,9 @@ def unstable_lower_bound(s: int, v: int) -> int:
     """Weight forced by instability in degree v, for 2v in {s, s+1, s+2}.
 
     At 2v = s the value is exact (s^3/8).  For the other two twists we use
-    s*v*(s-v)/2, the reduced-surface bound the per-degree arguments actually
-    invoke (42, 60, 120 at s = 7, 8, 10); see the certificate deviation note
-    for the alternative squared variants.
+    reduced_contact_lower_bound, the reduced-surface bound s*v*(s-v)/2 the
+    per-degree arguments actually invoke (42, 60, 120 at s = 7, 8, 10); see
+    the certificate deviation note for the alternative squared variants.
     """
     if 2 * v not in (s, s + 1, s + 2):
         raise ValueError(
@@ -104,7 +107,7 @@ def unstable_lower_bound(s: int, v: int) -> int:
         )
     if 2 * v == s:
         return s**3 // 8
-    return s * v * (s - v) // 2
+    return reduced_contact_lower_bound(s, v)
 
 
 def e_min(s: int) -> int:

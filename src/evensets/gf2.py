@@ -2,8 +2,9 @@
 
 Words are fixed-length bit vectors stored as Python integers (bit j of the
 mask is coordinate j, so coordinate 0 is the least significant bit).  Codes
-are subspaces of GF(2)^n given by a reduced row-echelon basis, which makes
-subspace equality plain value equality.
+are subspaces of GF(2)^n.  The LinearCode constructor accepts any spanning
+row masks and stores their reduced row-echelon basis, which makes subspace
+equality plain value equality.
 
 All values are immutable; nothing here mutates shared state.
 """
@@ -111,10 +112,13 @@ class BitWord:
         return [i for i in range(self.length) if self.mask >> i & 1]
 
 
-def _rref(length: int, masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduced row-echelon form over GF(2).  Returns (rows, pivot columns)."""
+def _rref(length: int, masks: Iterable[int]) -> tuple[int, ...]:
+    """Reduced row-echelon rows over GF(2), zero rows dropped.
+
+    Each row's pivot is its lowest set bit, pivots increase down the rows,
+    and each pivot bit is set in its own row only.
+    """
     rows = [m for m in masks if m]
-    pivots: list[int] = []
     r = 0
     for col in range(length):
         bit = 1 << col
@@ -125,16 +129,17 @@ def _rref(length: int, masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int
         for i in range(len(rows)):
             if i != r and rows[i] & bit:
                 rows[i] ^= rows[r]
-        pivots.append(col)
         r += 1
-    return tuple(rows[:r]), tuple(pivots)
+    return tuple(rows[:r])
 
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A subspace of GF(2)^length with canonical (RREF) basis rows.
+    """The span in GF(2)^length of the given row masks.
 
-    Two LinearCode values are the same subspace iff they are equal.
+    Any spanning masks are accepted; rows holds their canonical reduced
+    row-echelon basis, so two LinearCode values are the same subspace iff
+    they are equal.
     """
 
     length: int
@@ -143,10 +148,10 @@ class LinearCode:
     def __post_init__(self):
         if self.length < 0:
             raise ValueError(f"negative length {self.length}")
-        canonical, _ = _rref(self.length, self.rows)
-        if canonical != self.rows:
-            raise ValueError("basis rows are not in reduced row-echelon form; "
-                             "use LinearCode.from_rows")
+        for m in self.rows:
+            if m < 0 or m >> self.length:
+                raise ValueError(f"row mask {m:#x} does not fit in {self.length} bits")
+        object.__setattr__(self, "rows", _rref(self.length, self.rows))
 
     @classmethod
     def from_rows(cls, words: Sequence[BitWord]) -> LinearCode:
@@ -159,8 +164,7 @@ class LinearCode:
                 raise LengthMismatchError(
                     f"row lengths differ: {w.length} vs {length}"
                 )
-        rows, _ = _rref(length, (w.mask for w in words))
-        return cls(length, rows)
+        return cls(length, tuple(w.mask for w in words))
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> LinearCode:
@@ -252,19 +256,14 @@ def minimum_distance(code: LinearCode, cap: int = ENUMERATION_CAP) -> int:
 def dual_code(code: LinearCode) -> LinearCode:
     """All words orthogonal to every codeword; dimension n - k."""
     n = code.length
-    _, pivots = _rref(n, code.rows)
-    pivot_set = set(pivots)
-    basis_masks = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        mask = 1 << free
-        for j, row in enumerate(code.rows):
-            if row >> free & 1:
-                mask |= 1 << pivots[j]
-        basis_masks.append(mask)
-    rows, _ = _rref(n, basis_masks)
-    return LinearCode(n, rows)
+    # Each row's pivot is its lowest set bit, as in LinearCode.contains.  A
+    # free column j gives the dual word e_j plus the pivots of the rows
+    # holding a 1 in column j.
+    lows = [row & -row for row in code.rows]
+    pivots = sum(lows)
+    return LinearCode(n, tuple(
+        1 << j | sum(low for low, row in zip(lows, code.rows) if row >> j & 1)
+        for j in range(n) if not pivots >> j & 1))
 
 
 def classify_parity(code: LinearCode, cap: int = ENUMERATION_CAP) -> str:
@@ -282,17 +281,11 @@ def classify_parity(code: LinearCode, cap: int = ENUMERATION_CAP) -> str:
 
 def is_self_orthogonal(code: LinearCode) -> bool:
     """True iff the code is contained in its dual."""
-    words = code.basis()
-    return all(
-        v.intersection_weight(w) % 2 == 0
-        for i, v in enumerate(words)
-        for w in words[i:]
-    )
+    rows = code.rows
+    return all((a & b).bit_count() % 2 == 0 for i, a in enumerate(rows) for b in rows[i:])
 
 
-def project_onto_support(
-    code: LinearCode, w: BitWord, cap: int = ENUMERATION_CAP
-) -> tuple[LinearCode, int]:
+def project_onto_support(code: LinearCode, w: BitWord) -> tuple[LinearCode, int]:
     """Project each codeword v to v AND w, restricted to support(w).
 
     Returns the image code (length = weight of w) and the dimension of the
@@ -302,14 +295,9 @@ def project_onto_support(
     if not code.contains(w):
         raise NotACodewordError(f"word {w} is not in the code")
     positions = w.support()
-    image_masks = []
-    for row in code.rows:
-        overlap = row & w.mask
-        image_masks.append(
-            sum(1 << j for j, pos in enumerate(positions) if overlap >> pos & 1)
-        )
-    rows, _ = _rref(len(positions), image_masks)
-    image = LinearCode(len(positions), rows)
+    image = LinearCode(len(positions), tuple(
+        sum(1 << j for j, pos in enumerate(positions) if row >> pos & 1)
+        for row in code.rows))
     return image, code.dimension - image.dimension
 
 
@@ -353,7 +341,7 @@ def parse_generator_matrix(text: str) -> list[BitWord]:
         if not line or line.startswith("#"):
             continue
         compact = line.replace(" ", "")
-        if not compact or not all(c in "01" for c in compact):
+        if not all(c in "01" for c in compact):
             raise GeneratorMatrixParseError(
                 f"expected only '0', '1' and spaces, got {line!r}", lineno
             )

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import formulas
-from .gf2 import BitWord, LinearCode
+from .gf2 import LinearCode
 
 STRICT = "strict"
 WEAK = "weak"
 PARITIES = (STRICT, WEAK)
 
-# Maximal node counts by degree; unknown beyond degree 6.
+# Maximal node counts by degree; known exactly only up to degree 6.
 _MAX_NODES = {1: 0, 2: 1, 3: 4, 4: 16, 5: 31, 6: 65}
 
 
@@ -56,11 +56,12 @@ class NodalSurface:
             raise ValueError(f"degree must be positive, got {self.degree}")
         if self.node_count < 0:
             raise ValueError(f"node count must be nonnegative, got {self.node_count}")
-        if self.degree <= 6 and self.node_count > max_nodes(self.degree):
-            raise ValueError(
-                f"a degree-{self.degree} nodal surface has at most "
-                f"{max_nodes(self.degree)} nodes, got {self.node_count}"
-            )
+        s = self.degree
+        # Beyond the table, Miyaoka's bound (4/9) s (s-1)^2 (Math. Ann. 268, 1984).
+        limit = max_nodes(s) if s <= 6 else 4 * s * (s - 1) ** 2 // 9
+        if self.node_count > limit:
+            raise ValueError(f"a degree-{s} nodal surface has at most {limit} "
+                             f"nodes, got {self.node_count}")
 
 
 def dim_lower_bound(surface: NodalSurface, parity: str) -> int:
@@ -163,7 +164,7 @@ def togliatti_simplex_construction() -> LinearCode:
         for i in range(5):
             if column >> i & 1:
                 masks[i] |= 1 << j
-    return LinearCode.from_rows([BitWord(31, m) for m in masks])
+    return LinearCode(31, tuple(masks))
 
 
 def cayley_code() -> LinearCode:

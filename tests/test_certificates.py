@@ -49,6 +49,12 @@ class TestDeriveGaps:
         with pytest.raises(certificates.UnprovenCaseError):
             derive_gaps(10, WEAK)
 
+    @pytest.mark.parametrize("s, parity", [(-1, STRICT), (0, STRICT), (0, WEAK)])
+    def test_nonpositive_degree_rejected(self, s, parity):
+        with pytest.raises(ValueError, match="surface degree must be at least 1") as exc:
+            derive_gaps(s, parity)
+        assert not isinstance(exc.value, certificates.UnprovenCaseError)
+
     def test_deterministic_serialization(self):
         a = derive_gaps(8, STRICT).to_json()
         b = derive_gaps(8, STRICT).to_json()

@@ -1,11 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evensets import cli
 
@@ -35,8 +42,17 @@ def kummer_file(tmp_path):
      "46d80a35b03f62b8bbf51830981c4581bb2612e0c159d9b92f05958a4b0590cd"),
     (["--json", "gaps", "--degree", "10", "--parity", "strict"],
      "31ecf4716fd9e4bbce24713e338f743dcdaaca2a21625ef450f7dbc7e216e0b4"),
+    (["--json", "code", "analyze", "kummer.txt"],
+     "bed30ded240d65b0e98c66fab1d89d8671f6326029394bf9311e17f07e54b826"),
+    (["--json", "code", "analyze", "togliatti.txt"],
+     "1c1d96822c5caeb17e902c8351a4556cfddb70f3907c03bda36bb16c61768d7b"),
+    (["--json", "code", "project", "kummer.txt", "--word", "1111111100000000"],
+     "1a069da0561df96d20202cb63adf2dc1a7d343b50afa09f9f237c89bf4d7c890"),
 ])
-def test_stdout_bytes_pinned(capsys, argv, digest):
+def test_stdout_bytes_pinned(capsys, monkeypatch, argv, digest):
+    # The code reports carry the file path, so read the bundled files by
+    # their bare names.
+    monkeypatch.chdir(str(resources.files("evensets") / "data"))
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -188,6 +204,13 @@ class TestCalculators:
         assert code == 2
         assert "error:" in err
 
+    def test_surface_bounds_above_miyaoka_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["surface", "bounds", "--degree", "7",
+                                          "--nodes", "1000000"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "at most 112 nodes" in err
+
 
 class TestGaps:
     def test_gap_certificate(self, capsys):
@@ -212,6 +235,14 @@ class TestGaps:
                                         "--parity", "strict"])
         assert code == 2
         assert "not established" in err
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_nonpositive_degree_exits_2(self, capsys, degree):
+        code, out, err = run_cli(capsys, ["gaps", "--degree", degree,
+                                          "--parity", "strict"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: surface degree must be at least 1")
 
 
 class TestVerifyPaper:
@@ -287,3 +318,91 @@ class TestOutputHandling:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "n_min: 16" in proc.stdout
+
+
+# Placeholders in fuzzed argv, replaced by paths inside a temporary directory
+# and, for FIRST_ROW, by the first line of the matrix file (a codeword when
+# the file is a 0/1 matrix).
+MATRIX, OUTPUT, DIRECTORY, FIRST_ROW = "<matrix>", "<output>", "<dir>", "<row>"
+# Each real subcommand with its positional argument and options.
+COMMANDS = {
+    ("code", "analyze"): (MATRIX,),
+    ("code", "project"): (MATRIX, "--word"),
+    ("griesmer",): ("--n", "--k", "--d"),
+    ("chi",): ("--degree", "--twist", "--weight"),
+    ("emin",): ("--degree", "--weak"),
+    ("gaps",): ("--degree", "--parity"),
+    ("surface", "bounds"): ("--degree", "--nodes"),
+    ("verify", "paper"): ("--data-dir",),
+}
+# No '/' or '-' in random text: a random token is then never an absolute
+# path or an option, so with the working directory in the temporary
+# directory, --output writes nowhere else.
+TOKENS = st.one_of(
+    st.sampled_from(sorted({o for opts in COMMANDS.values() for o in opts}
+                           | {"--json", "--output", "--help", "code", "strict"})),
+    st.integers(-3, 12).map(str),
+    st.integers(-10**12, 10**12).map(str),
+    st.text(st.characters(blacklist_characters="/\\-"), max_size=6),
+    st.text("01", max_size=30),
+)
+VALUES = {
+    "--word": st.one_of(st.just(FIRST_ROW), st.text("01", max_size=30)),
+    "--parity": st.sampled_from(["strict", "weak"]),
+    "--data-dir": st.just(DIRECTORY),
+}
+INTEGER = st.integers(-3, 12).map(str)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = list(command)
+    for option in COMMANDS[command]:
+        if draw(st.integers(0, 7)) == 0:
+            continue
+        argv.append(option)
+        if option.startswith("--") and option != "--weak":
+            value = VALUES.get(option, INTEGER)
+            argv.append(draw(TOKENS if draw(st.integers(0, 3)) == 0 else value))
+    if draw(st.booleans()):
+        argv.insert(0, "--json")
+    if draw(st.integers(0, 3)) == 0:
+        argv[:0] = ["--output", OUTPUT]
+    if draw(st.integers(0, 3)) == 0:
+        argv += draw(st.lists(TOKENS, min_size=1, max_size=3))
+    return draw(st.permutations(argv)) if draw(st.integers(0, 9)) == 0 else argv
+
+
+@st.composite
+def matrix_files(draw):
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    n = draw(st.integers(1, 24))
+    rows = draw(st.lists(st.text("01", min_size=n, max_size=n), min_size=1, max_size=12))
+    return ("\n".join(rows) + "\n").encode()
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_argv(), matrix_files())
+    def test_any_argv_exits_0_1_or_2_without_traceback(self, argv, matrix):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "m.txt").write_bytes(matrix)
+            paths = {MATRIX: str(Path(tmp) / "m.txt"), OUTPUT: str(Path(tmp) / "out"),
+                     DIRECTORY: tmp,
+                     FIRST_ROW: matrix.decode("utf-8", "replace").split("\n")[0]}
+            argv = [paths.get(t, t) for t in argv]
+            out, err = io.StringIO(), io.StringIO()
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()

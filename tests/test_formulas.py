@@ -127,6 +127,16 @@ class TestUnstableBound:
         assert formulas.unstable_lower_bound(8, 5) == 60
         assert formulas.unstable_lower_bound(10, 6) == 120
 
+    def test_offset_twists_are_the_reduced_contact_bound(self):
+        for s in range(3, 60):
+            v = s // 2 + 1  # the one v with 2v in {s+1, s+2}
+            product = s * v * (s - v)
+            assert product % 2 == 0
+            assert formulas.unstable_lower_bound(s, v) == product // 2 == \
+                formulas.reduced_contact_lower_bound(s, v) == \
+                formulas.contact_count_nodal(s, v, 0) == \
+                formulas.contact_count_nodal(s, v, 3) - 3
+
     def test_inadmissible_twist(self):
         with pytest.raises(ValueError):
             formulas.unstable_lower_bound(8, 3)

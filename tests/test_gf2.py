@@ -76,6 +76,15 @@ class TestLinearCode:
         b = LinearCode.from_rows([word("101"), word("011")])
         assert a == b
 
+    def test_constructor_canonicalises(self):
+        assert LinearCode(3, (0b011, 0b110)) == LinearCode(3, (0b101, 0b011, 0))
+        assert LinearCode(3, (0b011, 0b110)).rows == (0b101, 0b110)
+
+    @pytest.mark.parametrize("mask", [0b1000, -1])
+    def test_mask_outside_length_rejected(self, mask):
+        with pytest.raises(ValueError):
+            LinearCode(3, (mask,))
+
     def test_contains(self):
         code = kummer_code()
         for row in KUMMER_ROWS:
@@ -289,7 +298,28 @@ def random_codes(draw):
         else LinearCode.zero_code(n)
 
 
+@st.composite
+def masks_of_length(draw):
+    n = draw(st.integers(0, 24))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+
+
 class TestProperties:
+    @settings(max_examples=200)
+    @given(masks_of_length())
+    def test_constructor_matches_from_rows_and_is_rref(self, case):
+        n, masks = case
+        code = LinearCode(n, tuple(masks))
+        assert code == (LinearCode.from_rows([BitWord(n, m) for m in masks])
+                        if masks else LinearCode.zero_code(n))
+        assert all(code.contains(BitWord(n, m)) for m in masks)
+        # RREF: nonzero rows, pivots (lowest set bits) strictly increasing,
+        # and each pivot bit set only in its own row.
+        lows = [row & -row for row in code.rows]
+        assert all(lows) and lows == sorted(set(lows))
+        assert all(row & low == 0 for low in lows for row in code.rows
+                   if row & -row != low)
+
     @given(word_pairs())
     def test_weight_identity(self, pair):
         v, w = pair

@@ -19,7 +19,15 @@ class TestMaxNodes:
         NodalSurface(4, 16)
         with pytest.raises(ValueError):
             NodalSurface(4, 17)
-        NodalSurface(7, 100)  # no known limit beyond degree 6
+        NodalSurface(7, 100)  # within Miyaoka's bound beyond degree 6
+
+    def test_miyaoka_bound_beyond_degree_six(self):
+        NodalSurface(7, 112)
+        with pytest.raises(ValueError, match="at most 112 nodes"):
+            NodalSurface(7, 113)
+        NodalSurface(10, 360)
+        with pytest.raises(ValueError, match="at most 360 nodes"):
+            NodalSurface(10, 361)
 
 
 class TestBetti:
@@ -40,7 +48,7 @@ class TestDimBounds:
         assert surfaces.dim_lower_bound(NodalSurface(s, mu), STRICT) == expected
 
     def test_weak_is_strict_plus_one(self):
-        for s, mu in ((4, 16), (6, 65), (8, 100), (10, 400)):
+        for s, mu in ((4, 16), (6, 65), (8, 100), (10, 360)):
             surface = NodalSurface(s, mu)
             strict = surfaces.dim_lower_bound(surface, STRICT)
             weak = surfaces.dim_lower_bound(surface, WEAK)
