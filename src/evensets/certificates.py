@@ -213,8 +213,10 @@ def derive_gaps(s: int, parity: str) -> ProofCertificate:
     formulas._require_degree(s)
     if parity not in surfaces.PARITIES:
         raise ValueError(f"parity must be one of {surfaces.PARITIES}, got {parity!r}")
-    if parity == WEAK and s == 2:
-        return _weak_degree_two_certificate()
+    if parity == WEAK:
+        formulas._require_even_degree(s)
+        if s == 2:
+            return _weak_degree_two_certificate()
     case = _CASES.get((s, parity))
     if case is None:
         raise UnprovenCaseError(s, parity)
@@ -399,6 +401,11 @@ QUARTIC_COHOMOLOGY_TABLE = (
 )
 
 
+def _check(name: str, expected: Any, actual: Any) -> dict[str, Any]:
+    return {"name": name, "expected": expected, "actual": actual,
+            "pass": expected == actual}
+
+
 def _proven_pairs() -> list[tuple[int, str]]:
     return ([(s, STRICT) for s in formulas.PROVEN_STRICT_DEGREES]
             + [(s, WEAK) for s in formulas.PROVEN_WEAK_DEGREES])
@@ -424,12 +431,8 @@ def verify_corollary_gaps() -> dict[str, Any]:
     checks = []
     for (s, parity), expected in sorted(GAP_TABLE.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         cert = derive_gaps(s, parity)
-        checks.append({
-            "name": f"gap degree {s} {parity}",
-            "expected": list(expected),
-            "actual": list(cert.conclusion.excluded_weights),
-            "pass": cert.conclusion.excluded_weights == expected,
-        })
+        checks.append(_check(f"gap degree {s} {parity}", list(expected),
+                             list(cert.conclusion.excluded_weights)))
     return _report("corollary-gaps", checks)
 
 
@@ -444,20 +447,11 @@ def verify_concluding_table() -> dict[str, Any]:
             "actual": list(weights),
             "pass": all(w % modulus == 0 for w in weights),
         })
-        checks.append({
-            "name": f"degree {s} minimum",
-            "expected": formulas.e_min(s),
-            "actual": min(weights),
-            "pass": min(weights) == formulas.e_min(s),
-        })
+        checks.append(_check(f"degree {s} minimum", formulas.e_min(s), min(weights)))
         if s in formulas.PROVEN_STRICT_DEGREES:
             gap = derive_gaps(s, STRICT).conclusion.excluded_weights
-            checks.append({
-                "name": f"degree {s} gap avoidance",
-                "expected": [],
-                "actual": sorted(set(weights) & set(gap)),
-                "pass": not set(weights) & set(gap),
-            })
+            checks.append(_check(f"degree {s} gap avoidance", [],
+                                 sorted(set(weights) & set(gap))))
     return _report("concluding-table", checks)
 
 
@@ -465,13 +459,8 @@ def verify_example_cohomology_tables() -> dict[str, Any]:
     """chi must equal h0 - h1 + h2 in every quartic cohomology table row."""
     checks = []
     for w, v, h0, h1, h2 in QUARTIC_COHOMOLOGY_TABLE:
-        value = formulas.chi(4, v, w)
-        checks.append({
-            "name": f"quartic weight {w} twist {v}",
-            "expected": h0 - h1 + h2,
-            "actual": _encode(value),
-            "pass": value == h0 - h1 + h2,
-        })
+        checks.append(_check(f"quartic weight {w} twist {v}", h0 - h1 + h2,
+                             _encode(formulas.chi(4, v, w))))
     return _report("quartic-cohomology", checks)
 
 

@@ -26,7 +26,7 @@ def _load_code(path: str) -> gf2.LinearCode:
     return gf2.LinearCode.from_rows(gf2.parse_generator_matrix(text))
 
 
-def cmd_code_analyze(args) -> dict[str, Any]:
+def cmd_code_analyze(args) -> tuple[str, dict[str, Any]]:
     code = _load_code(args.file)
     distribution = gf2.weight_distribution(code)
     payload = {
@@ -39,10 +39,10 @@ def cmd_code_analyze(args) -> dict[str, Any]:
         "self_orthogonal": gf2.is_self_orthogonal(code),
         "dual_dimension": code.length - code.dimension,
     }
-    return {"command": "code analyze", "status": "info", "payload": payload}
+    return "info", payload
 
 
-def cmd_code_project(args) -> dict[str, Any]:
+def cmd_code_project(args) -> tuple[str, dict[str, Any]]:
     code = _load_code(args.file)
     word = gf2.BitWord.from_string(args.word)
     image, kernel_dim = gf2.project_onto_support(code, word)
@@ -55,20 +55,20 @@ def cmd_code_project(args) -> dict[str, Any]:
         "image_weight_distribution": certificates._encode(
             gf2.weight_distribution(image)),
     }
-    return {"command": "code project", "status": "info", "payload": payload}
+    return "info", payload
 
 
-def cmd_griesmer(args) -> dict[str, Any]:
+def cmd_griesmer(args) -> tuple[str, dict[str, Any]]:
     if args.k is not None:
         payload = {"k": args.k, "d": args.d,
                    "n_min": gf2.griesmer_min_length(args.k, args.d)}
     else:
         payload = {"n": args.n, "d": args.d,
                    "k_max": gf2.griesmer_max_dim(args.n, args.d)}
-    return {"command": "griesmer", "status": "info", "payload": payload}
+    return "info", payload
 
 
-def cmd_chi(args) -> dict[str, Any]:
+def cmd_chi(args) -> tuple[str, dict[str, Any]]:
     value = formulas.chi(args.degree, args.twist, args.weight)
     payload = {
         "degree": args.degree,
@@ -78,10 +78,10 @@ def cmd_chi(args) -> dict[str, Any]:
         "is_integer": value.denominator == 1,
         "serre_dual_twist": formulas.serre_dual_twist(args.degree, args.twist),
     }
-    return {"command": "chi", "status": "info", "payload": payload}
+    return "info", payload
 
 
-def cmd_emin(args) -> dict[str, Any]:
+def cmd_emin(args) -> tuple[str, dict[str, Any]]:
     if args.weak:
         value = formulas.e_bar_min(args.degree)
     else:
@@ -89,16 +89,15 @@ def cmd_emin(args) -> dict[str, Any]:
     payload = {"degree": args.degree,
                "parity": WEAK if args.weak else STRICT,
                "min_weight": value}
-    return {"command": "emin", "status": "info", "payload": payload}
+    return "info", payload
 
 
-def cmd_gaps(args) -> dict[str, Any]:
+def cmd_gaps(args) -> tuple[str, dict[str, Any]]:
     cert = certificates.derive_gaps(args.degree, args.parity)
-    status = "pass" if cert.validate() else "fail"
-    return {"command": "gaps", "status": status, "payload": cert.to_dict()}
+    return "pass" if cert.validate() else "fail", cert.to_dict()
 
 
-def cmd_surface_bounds(args) -> dict[str, Any]:
+def cmd_surface_bounds(args) -> tuple[str, dict[str, Any]]:
     surface = surfaces.NodalSurface(args.degree, args.nodes)
     profile = surfaces.surface_profile(surface)
     payload = {
@@ -110,15 +109,13 @@ def cmd_surface_bounds(args) -> dict[str, Any]:
         "strict_weight_modulus": profile.strict_modulus,
         "weak_weight_residue": profile.weak_residue,
     }
-    return {"command": "surface bounds", "status": "info", "payload": payload}
+    return "info", payload
 
 
-def cmd_verify_paper(args) -> dict[str, Any]:
+def cmd_verify_paper(args) -> tuple[str, dict[str, Any]]:
     data_dir = Path(args.data_dir) if args.data_dir else None
     sweep = verification.run_full_verification(data_dir)
-    return {"command": "verify paper",
-            "status": "pass" if sweep["pass"] else "fail",
-            "payload": sweep}
+    return "pass" if sweep["pass"] else "fail", sweep
 
 
 def _render_text(report: dict[str, Any]) -> str:
@@ -230,8 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Each cmd_* returns (status, payload); the report names the command by
+    # its parsed path, e.g. "code analyze".
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     try:
-        return _emit(args.func(args), args)
+        status, payload = args.func(args)
+        return _emit({"command": command, "status": status, "payload": payload}, args)
     except (ValueError, OSError, gf2.EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

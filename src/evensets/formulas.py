@@ -29,9 +29,18 @@ def _binom3(n: int) -> int:
     return n * (n - 1) * (n - 2) // 6 if n >= 3 else 0
 
 
+class WeakParityError(ValueError):
+    """Weakly even sets exist only on surfaces of even degree."""
+
+
 def _require_degree(s: int) -> None:
     if s < 1:
         raise ValueError(f"surface degree must be at least 1, got {s}")
+
+
+def _require_even_degree(s: int) -> None:
+    if s % 2:
+        raise WeakParityError(f"degree {s} is odd; weakly even sets need even degree")
 
 
 def chi(s: int, v: int, weight: int) -> Fraction:
@@ -72,15 +81,15 @@ def contact_count_nodal(s: int, v: int, beta: int) -> int:
     """
     if v < 1 or s <= v:
         raise ValueError(f"need degree s > contact degree v >= 1, got s={s}, v={v}")
-    product = s * v * (s - v)
-    if product % 2:
-        raise ValueError(f"s*v*(s-v) = {product} is odd; no even set matches")
     return reduced_contact_lower_bound(s, v) + beta
 
 
 def reduced_contact_lower_bound(s: int, v: int) -> int:
-    """Weight lower bound ceil(s*v*(s-v)/2) for a reduced contact surface."""
-    return -(-s * v * (s - v) // 2)
+    """Weight lower bound s*v*(s-v)/2 for a reduced contact surface.
+
+    The product is always even: if s and v are both odd, s - v is even.
+    """
+    return s * v * (s - v) // 2
 
 
 def plane_contact_weight(s: int) -> int:
@@ -125,6 +134,7 @@ def e_min(s: int) -> int:
 def e_bar_min(s: int) -> int:
     """Minimal weight of a nonzero weakly even set in degree s: s(s-1)/2."""
     _require_degree(s)
+    _require_even_degree(s)
     if s not in PROVEN_WEAK_DEGREES:
         raise UnprovenDegreeError(s, PROVEN_WEAK_DEGREES)
     return plane_contact_weight(s)

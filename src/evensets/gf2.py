@@ -15,8 +15,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
 
-# Largest dimension an exhaustive walk may cover.  Weight statistics walk the
-# smaller of a code and its dual, so for them it bounds min(k, n - k).
+# Largest dimension an exhaustive walk may cover, read by enumerate_codewords
+# at each call.  Weight statistics walk the smaller of a code and its dual, so
+# for them it bounds min(k, n - k).
 ENUMERATION_CAP = 30
 
 
@@ -27,12 +28,11 @@ class LengthMismatchError(ValueError):
 class EnumerationCapError(RuntimeError):
     """Code dimension exceeds the exhaustive-enumeration cap."""
 
-    def __init__(self, dimension: int, cap: int = ENUMERATION_CAP):
+    def __init__(self, dimension: int):
         super().__init__(
-            f"refusing to enumerate 2^{dimension} codewords (cap is 2^{cap})"
+            f"refusing to enumerate 2^{dimension} codewords (cap is 2^{ENUMERATION_CAP})"
         )
         self.dimension = dimension
-        self.cap = cap
 
 
 class NotACodewordError(ValueError):
@@ -196,7 +196,7 @@ class LinearCode:
         return residue == 0
 
 
-def enumerate_codewords(code: LinearCode, cap: int = ENUMERATION_CAP) -> Iterator[BitWord]:
+def enumerate_codewords(code: LinearCode) -> Iterator[BitWord]:
     """Yield all 2^k codewords, zero word first.
 
     Order is fixed: the binary-reflected Gray code.  Step i (for i >= 1) adds
@@ -205,8 +205,8 @@ def enumerate_codewords(code: LinearCode, cap: int = ENUMERATION_CAP) -> Iterato
     row r.  Byte-stable across runs.
     """
     k = code.dimension
-    if k > cap:
-        raise EnumerationCapError(k, cap)
+    if k > ENUMERATION_CAP:
+        raise EnumerationCapError(k)
     n, rows = code.length, code.rows
     mask = 0
     yield BitWord(n, mask)
@@ -220,7 +220,7 @@ def _krawtchouk(n: int, j: int, i: int) -> int:
     return sum((-1) ** h * comb(i, h) * comb(n - i, j - h) for h in range(min(i, j) + 1))
 
 
-def _weight_counts(code: LinearCode, cap: int) -> list[int]:
+def _weight_counts(code: LinearCode) -> list[int]:
     """counts[w] = number of codewords of weight w, for w in 0..n.
 
     The only consumer of enumerate_codewords.  When n - k < k the dual code
@@ -231,7 +231,7 @@ def _weight_counts(code: LinearCode, cap: int) -> list[int]:
     n, k = code.length, code.dimension
     walked = dual_code(code) if n - k < k else code
     counts = [0] * (n + 1)
-    for w in enumerate_codewords(walked, cap):
+    for w in enumerate_codewords(walked):
         counts[w.mask.bit_count()] += 1
     if walked is code:
         return counts
@@ -240,16 +240,16 @@ def _weight_counts(code: LinearCode, cap: int) -> list[int]:
             for j in range(n + 1)]
 
 
-def weight_distribution(code: LinearCode, cap: int = ENUMERATION_CAP) -> dict[int, int]:
+def weight_distribution(code: LinearCode) -> dict[int, int]:
     """Exact weight counts, ascending by weight; zero counts are left out."""
-    return {w: c for w, c in enumerate(_weight_counts(code, cap)) if c}
+    return {w: c for w, c in enumerate(_weight_counts(code)) if c}
 
 
-def minimum_distance(code: LinearCode, cap: int = ENUMERATION_CAP) -> int:
+def minimum_distance(code: LinearCode) -> int:
     """Minimum weight over nonzero codewords."""
     if code.dimension == 0:
         raise ValueError("the zero code has no nonzero words")
-    counts = _weight_counts(code, cap)
+    counts = _weight_counts(code)
     return next(w for w in range(1, len(counts)) if counts[w])
 
 
@@ -266,14 +266,14 @@ def dual_code(code: LinearCode) -> LinearCode:
         for j in range(n) if not pivots >> j & 1))
 
 
-def classify_parity(code: LinearCode, cap: int = ENUMERATION_CAP) -> str:
+def classify_parity(code: LinearCode) -> str:
     """Strongest of 'doubly-even', 'even', 'not-even' holding for all codewords.
 
     Read off the exact weight counts rather than the generator criterion, so
     it stays an independent witness for the self-orthogonality theorems the
     test suite validates.
     """
-    weights = [w for w, c in enumerate(_weight_counts(code, cap)) if c]
+    weights = [w for w, c in enumerate(_weight_counts(code)) if c]
     if any(w % 2 for w in weights):
         return "not-even"
     return "doubly-even" if all(w % 4 == 0 for w in weights) else "even"
@@ -303,8 +303,10 @@ def project_onto_support(code: LinearCode, w: BitWord) -> tuple[LinearCode, int]
 
 def griesmer_min_length(k: int, d: int) -> int:
     """Minimal length of any [n, k, d] code: sum of ceil(d / 2^i), i < k."""
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be positive")
+    if k < 1:
+        raise ValueError(f"dimension must be at least 1, got {k}")
+    if d < 1:
+        raise ValueError(f"minimum distance must be at least 1, got {d}")
     # ceil(d / 2^i) == 1 for every i >= top, so those terms add up to k - top.
     top = (d - 1).bit_length()
     return sum(-(-d // (1 << i)) for i in range(min(k, top))) + max(0, k - top)

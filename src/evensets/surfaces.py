@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import formulas
+from .formulas import WeakParityError  # so surfaces.WeakParityError stays public
 from .gf2 import LinearCode
 
 STRICT = "strict"
@@ -23,10 +24,6 @@ PARITIES = (STRICT, WEAK)
 
 # Maximal node counts by degree; known exactly only up to degree 6.
 _MAX_NODES = {1: 0, 2: 1, 3: 4, 4: 16, 5: 31, 6: 65}
-
-
-class WeakParityError(ValueError):
-    """Weakly even sets exist only on surfaces of even degree."""
 
 
 def max_nodes(d: int) -> int:
@@ -72,10 +69,8 @@ def dim_lower_bound(surface: NodalSurface, parity: str) -> int:
     """
     if parity not in PARITIES:
         raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
-    if parity == WEAK and surface.degree % 2:
-        raise WeakParityError(
-            f"degree {surface.degree} is odd; weakly even sets need even degree"
-        )
+    if parity == WEAK:
+        formulas._require_even_degree(surface.degree)
     b2 = b2_resolution(surface.degree)
     bonus = 1 if parity == WEAK else 0
     # ceil(mu + bonus - b2/2) done in integers: ceil(-b2/2) = -(b2 // 2).
@@ -93,8 +88,7 @@ def weak_weight_residue(s: int) -> int:
     Derived from integrality of chi at twist 1, not hard-coded: chi(s,1,w)
     is an integer exactly when w/4 cancels its fractional part.
     """
-    if s % 2:
-        raise WeakParityError(f"degree {s} is odd; weakly even sets need even degree")
+    formulas._require_even_degree(s)
     base = formulas.chi(s, 1, 0)
     residue = 4 * (base - math.floor(base))
     assert residue.denominator == 1

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import certificates, formulas, gf2, surfaces
+from .certificates import _check
 from .surfaces import STRICT
 
 # chi closed forms at fixed (degree, twist): chi = (a - weight) / 4.
@@ -39,11 +40,6 @@ DIM_BOUND_VALUES = (
     (5, 31, 5),
     (6, 65, 12),
 )
-
-
-def _check(name: str, expected: Any, actual: Any) -> dict[str, Any]:
-    return {"name": name, "expected": expected, "actual": actual,
-            "pass": expected == actual}
 
 
 def _data_text(filename: str, data_dir: Optional[Path]) -> str:

@@ -55,6 +55,19 @@ class TestDeriveGaps:
             derive_gaps(s, parity)
         assert not isinstance(exc.value, certificates.UnprovenCaseError)
 
+    def test_unknown_parity_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            derive_gaps(4, "bogus")
+        assert str(exc.value) == \
+            "parity must be one of ('strict', 'weak'), got 'bogus'"
+
+    @pytest.mark.parametrize("s", [3, 5, 9])
+    def test_weak_parity_on_odd_degree_is_impossible(self, s):
+        with pytest.raises(formulas.WeakParityError) as exc:
+            derive_gaps(s, WEAK)
+        assert str(exc.value) == \
+            f"degree {s} is odd; weakly even sets need even degree"
+
     def test_deterministic_serialization(self):
         a = derive_gaps(8, STRICT).to_json()
         b = derive_gaps(8, STRICT).to_json()

@@ -48,6 +48,26 @@ def kummer_file(tmp_path):
      "1c1d96822c5caeb17e902c8351a4556cfddb70f3907c03bda36bb16c61768d7b"),
     (["--json", "code", "project", "kummer.txt", "--word", "1111111100000000"],
      "1a069da0561df96d20202cb63adf2dc1a7d343b50afa09f9f237c89bf4d7c890"),
+    (["griesmer", "--k", "12", "--d", "32"],
+     "57c11fdcd54bca9dc2c07bb37d89f1913b8a2726b19b460fab10da51f5c4cc5c"),
+    (["--json", "griesmer", "--k", "12", "--d", "32"],
+     "6eee291a0b1e1f65dda25b2adb907a39869091deac82eabd80744fbad9232586"),
+    (["griesmer", "--n", "65", "--d", "32"],
+     "f71a1fa6463fb44a78506d2ed39a10764fee67d98e2c6267ecf7c2acf9d3c3b8"),
+    (["--json", "griesmer", "--n", "65", "--d", "32"],
+     "4cecb0adde47a866d016a1a7b3372776446fd3433d98b0ccd1ef766169c199e0"),
+    (["chi", "--degree", "4", "--twist", "1", "--weight", "2"],
+     "1ebc5fb8dfd13ddeeb3694b715b1088e216c4d8e8ba24b2c55537a66e67f30c5"),
+    (["--json", "chi", "--degree", "4", "--twist", "1", "--weight", "2"],
+     "6b624d313d2c5d372fdd764737020c79eec66bfccdf76e4695b02b3f3342d90a"),
+    (["emin", "--degree", "8", "--weak"],
+     "b1f0bfbdcf8be6fab18044429978593d8e48369a4a09253419d18d869dd511d6"),
+    (["--json", "emin", "--degree", "8", "--weak"],
+     "bd815e5be09197e2c73a89e1d477a184954c5afcc6bda498d498deb797ce4e0d"),
+    (["surface", "bounds", "--degree", "6", "--nodes", "65"],
+     "684821705c81d967e18db4a90edd076809f5ddb208b540bd1504f57a1e423283"),
+    (["--json", "surface", "bounds", "--degree", "6", "--nodes", "65"],
+     "22198dbcb91e99228e8fbf74302969e99900933e64f1110d4250f45ef1487620"),
 ])
 def test_stdout_bytes_pinned(capsys, monkeypatch, argv, digest):
     # The code reports carry the file path, so read the bundled files by
@@ -145,6 +165,16 @@ class TestCalculators:
         assert code == 2
         assert err == "error: minimum distance must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "5", "--d", "0"], "minimum distance must be at least 1, got 0"),
+        (["--k", "0", "--d", "5"], "dimension must be at least 1, got 0"),
+    ])
+    def test_griesmer_length_names_the_bad_argument(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, ["griesmer", *argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_chi_integer(self, capsys):
         code, out, _ = run_cli(capsys, ["--json", "chi", "--degree", "8",
                                         "--twist", "4", "--weight", "56"])
@@ -182,6 +212,14 @@ class TestCalculators:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "at least 1" in err
+
+    @pytest.mark.parametrize("argv", [["emin", "--degree", "3", "--weak"],
+                                      ["gaps", "--degree", "3", "--parity", "weak"]])
+    def test_weak_parity_on_odd_degree_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: degree 3 is odd; weakly even sets need even degree\n"
 
     def test_emin_unproven_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["emin", "--degree", "9"])

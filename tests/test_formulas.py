@@ -98,6 +98,14 @@ class TestContactCounts:
         with pytest.raises(ValueError):
             formulas.contact_count_nodal(4, 5, 0)
 
+    @given(st.integers(2, 500).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(1, s - 1))))
+    def test_contact_product_is_twice_the_bound(self, sv):
+        s, v = sv
+        product = s * v * (s - v)
+        assert product % 2 == 0
+        assert product == 2 * formulas.reduced_contact_lower_bound(s, v)
+
     def test_reduced_lower_bound(self):
         assert formulas.reduced_contact_lower_bound(8, 5) == 60
         assert formulas.reduced_contact_lower_bound(7, 4) == 42
@@ -164,6 +172,13 @@ class TestMinimalWeights:
             formulas.e_min(9)
         with pytest.raises(formulas.UnprovenDegreeError):
             formulas.e_bar_min(6 + 4)  # 10 is unproven for the weak case
+
+    @pytest.mark.parametrize("s", [3, 5, 9])
+    def test_e_bar_min_odd_degree_is_impossible(self, s):
+        with pytest.raises(formulas.WeakParityError) as exc:
+            formulas.e_bar_min(s)
+        assert str(exc.value) == \
+            f"degree {s} is odd; weakly even sets need even degree"
 
     @pytest.mark.parametrize("fn", [formulas.e_min, formulas.e_bar_min])
     @pytest.mark.parametrize("s", [0, -1])

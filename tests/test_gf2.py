@@ -57,6 +57,26 @@ class TestBitWord:
         for bits in ("0", "1", "100101", "0000"):
             assert str(word(bits)) == bits
 
+    @pytest.mark.parametrize("length, mask, message", [
+        (-1, 0, "negative length -1"),
+        (3, 0b1000, "mask 0x8 does not fit in 3 bits"),
+        (3, -1, "mask 0x-1 does not fit in 3 bits"),
+    ])
+    def test_invalid_word_rejected(self, length, mask, message):
+        with pytest.raises(ValueError) as exc:
+            BitWord(length, mask)
+        assert str(exc.value) == message
+
+    def test_support_outside_length_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            BitWord.from_support(4, [4])
+        assert str(exc.value) == "coordinate 4 outside [0, 4)"
+
+    def test_intersection_length_mismatch(self):
+        with pytest.raises(gf2.LengthMismatchError) as exc:
+            BitWord(3, 1).intersection_weight(BitWord(4, 1))
+        assert str(exc.value) == "cannot intersect words of lengths 3 and 4"
+
 
 class TestLinearCode:
     def test_duplicate_rows_drop(self):
@@ -79,6 +99,11 @@ class TestLinearCode:
     def test_constructor_canonicalises(self):
         assert LinearCode(3, (0b011, 0b110)) == LinearCode(3, (0b101, 0b011, 0))
         assert LinearCode(3, (0b011, 0b110)).rows == (0b101, 0b110)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            LinearCode(-1, ())
+        assert str(exc.value) == "negative length -1"
 
     @pytest.mark.parametrize("mask", [0b1000, -1])
     def test_mask_outside_length_rejected(self, mask):
@@ -108,10 +133,11 @@ class TestEnumeration:
         assert len(words) == 32
         assert len(set(words)) == 32
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
+        monkeypatch.setattr(gf2, "ENUMERATION_CAP", 4)
         code = LinearCode.full_space(8)
         with pytest.raises(gf2.EnumerationCapError) as err:
-            list(gf2.enumerate_codewords(code, cap=4))
+            list(gf2.enumerate_codewords(code))
         assert "2^4" in str(err.value)
 
     def test_togliatti_enumeration(self):
@@ -246,6 +272,16 @@ class TestGriesmer:
         assert gf2.griesmer_min_length(10**8, 32) == 10**8 - 5 + 62
         assert gf2.griesmer_max_dim(10**9, 1) == 10**9
         assert gf2.griesmer_max_dim(10**9, 32) == 10**9 + 5 - 62
+
+    @pytest.mark.parametrize("k, d, message", [
+        (5, 0, "minimum distance must be at least 1, got 0"),
+        (0, 5, "dimension must be at least 1, got 0"),
+        (-1, 3, "dimension must be at least 1, got -1"),
+    ])
+    def test_min_length_names_the_bad_argument(self, k, d, message):
+        with pytest.raises(ValueError) as exc:
+            gf2.griesmer_min_length(k, d)
+        assert str(exc.value) == message
 
     def test_max_dim_domain(self):
         with pytest.raises(ValueError, match="exceeds length"):
@@ -408,12 +444,13 @@ class TestEnumeratorAgainstMessageOrder:
         assert len(words) == len(set(words)) == 1 << code.dimension
         assert all(code.contains(w) for w in words)
 
-    def test_cap_bounds_the_dimension_walked(self):
+    def test_cap_bounds_the_dimension_walked(self, monkeypatch):
+        monkeypatch.setattr(gf2, "ENUMERATION_CAP", 4)
         # full space [8, 8]: its dual is the zero code, so nothing near 2^4 is walked
-        assert gf2.weight_distribution(LinearCode.full_space(8), cap=4) == {
+        assert gf2.weight_distribution(LinearCode.full_space(8)) == {
             w: comb(8, w) for w in range(9)}
         half_rate = LinearCode.from_rows(
             [BitWord.from_support(16, (i, i + 8)) for i in range(8)])
         assert half_rate.dimension == 8
         with pytest.raises(gf2.EnumerationCapError):
-            gf2.weight_distribution(half_rate, cap=4)
+            gf2.weight_distribution(half_rate)

@@ -59,6 +59,12 @@ class TestDimBounds:
         with pytest.raises(surfaces.WeakParityError):
             surfaces.dim_lower_bound(NodalSurface(5, 31), WEAK)
 
+    def test_unknown_parity_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            surfaces.dim_lower_bound(NodalSurface(4, 16), "bogus")
+        assert str(exc.value) == \
+            "parity must be one of ('strict', 'weak'), got 'bogus'"
+
     def test_clamped_at_zero(self):
         assert surfaces.dim_lower_bound(NodalSurface(6, 0), STRICT) == 0
 
@@ -82,8 +88,9 @@ class TestWeightRules:
                 assert integral == (w % 4 == r)
 
     def test_weak_residue_odd_degree(self):
-        with pytest.raises(surfaces.WeakParityError):
+        with pytest.raises(surfaces.WeakParityError) as exc:
             surfaces.weak_weight_residue(5)
+        assert str(exc.value) == "degree 5 is odd; weakly even sets need even degree"
 
 
 class TestProfile:
