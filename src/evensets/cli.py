@@ -12,6 +12,7 @@ number nodes from 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -155,7 +156,9 @@ def _emit(report: dict[str, Any], args) -> int:
     return 0 if report["status"] in ("pass", "info") else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Grammar only, no handlers: built on first use, shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="evensets",
         description="Binary-code analytics for even sets of nodes on nodal "
@@ -177,61 +180,53 @@ def build_parser() -> argparse.ArgumentParser:
     code_sub = code.add_subparsers(dest="subcommand", required=True)
     analyze = code_sub.add_parser("analyze", parents=[common], help="basic code statistics")
     analyze.add_argument("file")
-    analyze.set_defaults(func=cmd_code_analyze)
     project = code_sub.add_parser("project", parents=[common],
                                   help="project the code onto a codeword support")
     project.add_argument("file")
     project.add_argument("--word", required=True, metavar="BITS")
-    project.set_defaults(func=cmd_code_project)
 
     griesmer = sub.add_parser("griesmer", parents=[common], help="Griesmer bound calculator")
     length_or_dimension = griesmer.add_mutually_exclusive_group(required=True)
     length_or_dimension.add_argument("--n", type=int)
     length_or_dimension.add_argument("--k", type=int)
     griesmer.add_argument("--d", type=int, required=True)
-    griesmer.set_defaults(func=cmd_griesmer)
 
     chi = sub.add_parser("chi", parents=[common], help="exact Euler characteristic")
     chi.add_argument("--degree", type=int, required=True)
     chi.add_argument("--twist", type=int, required=True)
     chi.add_argument("--weight", type=int, required=True)
-    chi.set_defaults(func=cmd_chi)
 
     emin = sub.add_parser("emin", parents=[common], help="minimal even-set weight")
     emin.add_argument("--degree", type=int, required=True)
     emin.add_argument("--weak", action="store_true")
-    emin.set_defaults(func=cmd_emin)
 
     gaps = sub.add_parser("gaps", parents=[common], help="gap certificate for one degree")
     gaps.add_argument("--degree", type=int, required=True)
     gaps.add_argument("--parity", choices=(STRICT, WEAK), required=True)
-    gaps.set_defaults(func=cmd_gaps)
 
     surface = sub.add_parser("surface", help="surface constraints")
     surface_sub = surface.add_subparsers(dest="subcommand", required=True)
     bounds = surface_sub.add_parser("bounds", parents=[common])
     bounds.add_argument("--degree", type=int, required=True)
     bounds.add_argument("--nodes", type=int, required=True)
-    bounds.set_defaults(func=cmd_surface_bounds)
 
     verify = sub.add_parser("verify", help="regression sweeps")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     paper = verify_sub.add_parser("paper", parents=[common], help="run every pinned check")
     paper.add_argument("--data-dir", metavar="PATH",
                        help="override the bundled generator-matrix files")
-    paper.set_defaults(func=cmd_verify_paper)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Each cmd_* returns (status, payload); the report names the command by
-    # its parsed path, e.g. "code analyze".
+    args = build_parser().parse_args(argv)
+    # The parsed path names both the command ("code analyze") and its handler
+    # (cmd_code_analyze), looked up at call time; each cmd_* returns
+    # (status, payload).
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     try:
-        status, payload = args.func(args)
+        status, payload = globals()["cmd_" + command.replace(" ", "_")](args)
         return _emit({"command": command, "status": status, "payload": payload}, args)
     except (ValueError, OSError, gf2.EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,8 +42,8 @@ class NotACodewordError(ValueError):
 class GeneratorMatrixParseError(ValueError):
     """Malformed generator-matrix file."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, message: str, line_number: int | None = None):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -57,19 +57,17 @@ class BitWord:
     def __post_init__(self):
         if self.length < 0:
             raise ValueError(f"negative length {self.length}")
-        if self.mask < 0 or self.mask >> self.length:
+        if self.mask < 0:
+            raise ValueError(f"negative mask {self.mask}")
+        if self.mask >> self.length:
             raise ValueError(f"mask 0x{self.mask:x} does not fit in {self.length} bits")
 
     @classmethod
     def from_string(cls, bits: str) -> BitWord:
         """Parse a '0'/'1' string; leftmost character is coordinate 0."""
-        if not all(c in "01" for c in bits):
+        if bits.strip("01"):
             raise ValueError(f"invalid bit string {bits!r}")
-        mask = 0
-        for i, c in enumerate(bits):
-            if c == "1":
-                mask |= 1 << i
-        return cls(len(bits), mask)
+        return cls(len(bits), int(bits[::-1] or "0", 2))
 
     @classmethod
     def from_support(cls, length: int, indices: Iterable[int]) -> BitWord:
@@ -149,7 +147,9 @@ class LinearCode:
         if self.length < 0:
             raise ValueError(f"negative length {self.length}")
         for m in self.rows:
-            if m < 0 or m >> self.length:
+            if m < 0:
+                raise ValueError(f"negative row mask {m}")
+            if m >> self.length:
                 raise ValueError(f"row mask {m:#x} does not fit in {self.length} bits")
         object.__setattr__(self, "rows", _rref(self.length, self.rows))
 
@@ -292,6 +292,9 @@ def project_onto_support(code: LinearCode, w: BitWord) -> tuple[LinearCode, int]
     projection kernel.  If 2d divides every weight of the code, d divides
     every weight of the image.
     """
+    if w.length != code.length:
+        raise LengthMismatchError(f"cannot project a word of length {w.length} "
+                                  f"onto a code of length {code.length}")
     if not code.contains(w):
         raise NotACodewordError(f"word {w} is not in the code")
     positions = w.support()
@@ -343,7 +346,7 @@ def parse_generator_matrix(text: str) -> list[BitWord]:
         if not line or line.startswith("#"):
             continue
         compact = line.replace(" ", "")
-        if not all(c in "01" for c in compact):
+        if compact.strip("01"):
             raise GeneratorMatrixParseError(
                 f"expected only '0', '1' and spaces, got {line!r}", lineno
             )
@@ -354,5 +357,5 @@ def parse_generator_matrix(text: str) -> list[BitWord]:
             )
         rows.append(word)
     if not rows:
-        raise GeneratorMatrixParseError("no data rows found", 0)
+        raise GeneratorMatrixParseError("no data rows found")
     return rows

@@ -36,8 +36,8 @@ def max_nodes(d: int) -> int:
 
 def b2_resolution(s: int) -> int:
     """Second Betti number of the resolved surface: s^3 - 4s^2 + 6s - 2."""
-    if s < 2:
-        raise ValueError(f"degree must be at least 2, got {s}")
+    if s < 1:
+        raise ValueError(f"degree must be at least 1, got {s}")
     return s**3 - 4 * s**2 + 6 * s - 2
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -31,9 +32,13 @@ def kummer_file(tmp_path):
     return str(path)
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 # sha256 of the stdout bytes, pinned so that refactors of the encoders
 # and the certificate checks cannot change a report unnoticed.
-@pytest.mark.parametrize("argv, digest", [
+PINNED = [
     (["verify", "paper"],
      "01bbdcab15bed5a87b969dc2080710d6c4bfce0b2e365fdfcb840f7325d08d1d"),
     (["--json", "verify", "paper"],
@@ -68,14 +73,68 @@ def kummer_file(tmp_path):
      "684821705c81d967e18db4a90edd076809f5ddb208b540bd1504f57a1e423283"),
     (["--json", "surface", "bounds", "--degree", "6", "--nodes", "65"],
      "22198dbcb91e99228e8fbf74302969e99900933e64f1110d4250f45ef1487620"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED)
 def test_stdout_bytes_pinned(capsys, monkeypatch, argv, digest):
     # The code reports carry the file path, so read the bundled files by
     # their bare names.
     monkeypatch.chdir(str(resources.files("evensets") / "data"))
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert sha256(out) == digest
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, parser) for every parser with no subcommands below it."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, path + (name,))
+
+
+class TestParserReuse:
+    """main parses with one tree per process, so parsing must not change it."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_pinned_cases_twice_in_both_orders(self, capsys, monkeypatch):
+        monkeypatch.chdir(str(resources.files("evensets") / "data"))
+        for argv, digest in PINNED + PINNED[::-1]:
+            code, out, _ = run_cli(capsys, argv)
+            assert (code, sha256(out)) == (0, digest), argv
+
+    def test_no_flag_carries_over(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as bad:
+            cli.main(["--json", "--output", str(tmp_path / "bad"), "emin", "--degree", "x"])
+        assert bad.value.code == 2
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, ["emin", "--degree", "4", "--json",
+                                        "--output", str(target)])
+        assert (code, out) == (0, "")
+        assert json.loads(target.read_text())["payload"]["min_weight"] == 8
+        code, out, _ = run_cli(capsys, ["emin", "--degree", "4"])
+        assert code == 0
+        assert out == "command: emin\nstatus: info\ndegree: 4\nparity: strict\nmin_weight: 8\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_every_leaf_has_a_handler(self):
+        leaves = {"cmd_" + "_".join(path) for path, _ in leaf_parsers(cli.build_parser())}
+        assert len(leaves) == 8
+        assert leaves == {name for name in vars(cli) if name.startswith("cmd_")}
+        assert all(callable(getattr(cli, name)) for name in leaves)
+
+    def test_handlers_looked_up_at_call_time(self, capsys, monkeypatch):
+        cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_emin", lambda args: ("info", {"patched": args.degree}))
+        code, out, _ = run_cli(capsys, ["--json", "emin", "--degree", "4"])
+        assert code == 0
+        assert json.loads(out) == {"command": "emin", "status": "info",
+                                   "payload": {"patched": 4}}
 
 
 class TestCodeAnalyze:
@@ -113,6 +172,12 @@ class TestCodeAnalyze:
         assert code == 2
         assert "error:" in err
 
+    def test_no_data_rows_cites_no_line(self, capsys, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# only comments\n\n")
+        code, out, err = run_cli(capsys, ["code", "analyze", str(empty)])
+        assert (code, out, err) == (2, "", "error: no data rows found\n")
+
 
 class TestCodeProject:
     def test_projection(self, capsys, kummer_file):
@@ -131,6 +196,11 @@ class TestCodeProject:
                                         "--word", "1" + "0" * 15])
         assert code == 2
         assert "error:" in err
+
+    def test_wrong_length_word_names_both_lengths(self, capsys, kummer_file):
+        code, out, err = run_cli(capsys, ["code", "project", kummer_file, "--word", "111"])
+        assert (code, out) == (2, "")
+        assert err == "error: cannot project a word of length 3 onto a code of length 16\n"
 
 
 class TestCalculators:
@@ -235,6 +305,14 @@ class TestCalculators:
         assert payload["dim_lower_bound_even"] == 13
         assert payload["strict_weight_modulus"] == 8
         assert payload["weak_weight_residue"] == 3
+
+    def test_surface_bounds_of_the_plane(self, capsys):
+        code, out, _ = run_cli(capsys, ["--json", "surface", "bounds",
+                                        "--degree", "1", "--nodes", "0"])
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["b2_resolution"] == 1
+        assert payload["dim_lower_bound_strict"] == 0
 
     def test_surface_bounds_too_many_nodes_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["surface", "bounds", "--degree", "6",

@@ -2,7 +2,7 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evensets import gf2
@@ -60,12 +60,38 @@ class TestBitWord:
     @pytest.mark.parametrize("length, mask, message", [
         (-1, 0, "negative length -1"),
         (3, 0b1000, "mask 0x8 does not fit in 3 bits"),
-        (3, -1, "mask 0x-1 does not fit in 3 bits"),
+        (3, -1, "negative mask -1"),
     ])
     def test_invalid_word_rejected(self, length, mask, message):
         with pytest.raises(ValueError) as exc:
             BitWord(length, mask)
         assert str(exc.value) == message
+
+    @settings(max_examples=200)
+    @given(st.text("01", max_size=80))
+    @example("")
+    def test_from_string_matches_per_character_loop(self, bits):
+        mask = 0
+        for i, c in enumerate(bits):
+            if c == "1":
+                mask |= 1 << i
+        assert BitWord.from_string(bits) == BitWord(len(bits), mask)
+
+    @settings(max_examples=200)
+    @given(st.text("01", max_size=8), st.text(min_size=1).filter(lambda t: t.strip("01")),
+           st.text("01", max_size=8))
+    def test_from_string_rejects_any_other_character(self, head, junk, tail):
+        bits = head + junk + tail
+        with pytest.raises(ValueError) as exc:
+            BitWord.from_string(bits)
+        assert str(exc.value) == f"invalid bit string {bits!r}"
+
+    @pytest.mark.parametrize("bits", [" ", "_", "+", "2", "\u0661", "1 0", "1_0", "+1",
+                                      " 01", "0b1", "01\n"])
+    def test_from_string_rejects_what_int_would_accept(self, bits):
+        with pytest.raises(ValueError) as exc:
+            BitWord.from_string(bits)
+        assert str(exc.value) == f"invalid bit string {bits!r}"
 
     def test_support_outside_length_rejected(self):
         with pytest.raises(ValueError) as exc:
@@ -107,8 +133,10 @@ class TestLinearCode:
 
     @pytest.mark.parametrize("mask", [0b1000, -1])
     def test_mask_outside_length_rejected(self, mask):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             LinearCode(3, (mask,))
+        assert str(exc.value) == {0b1000: "row mask 0x8 does not fit in 3 bits",
+                                  -1: "negative row mask -1"}[mask]
 
     def test_contains(self):
         code = kummer_code()
@@ -217,6 +245,11 @@ class TestProjection:
         with pytest.raises(gf2.NotACodewordError):
             gf2.project_onto_support(kummer_code(), word("1" + "0" * 15))
 
+    def test_length_mismatch_names_both_lengths(self):
+        with pytest.raises(gf2.LengthMismatchError) as exc:
+            gf2.project_onto_support(kummer_code(), word("111"))
+        assert str(exc.value) == "cannot project a word of length 3 onto a code of length 16"
+
     def test_kummer_weight8_projections_doubly_even(self):
         code = kummer_code()
         weight8 = [w for w in gf2.enumerate_codewords(code) if w.weight == 8]
@@ -313,8 +346,11 @@ class TestParsing:
         assert err.value.line_number == 2
 
     def test_empty_input_rejected(self):
-        with pytest.raises(gf2.GeneratorMatrixParseError):
+        with pytest.raises(gf2.GeneratorMatrixParseError) as err:
             gf2.parse_generator_matrix("# only comments\n")
+        # No line holds the fault, so none is cited.
+        assert err.value.line_number is None
+        assert str(err.value) == "no data rows found"
 
 
 @st.composite

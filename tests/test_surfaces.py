@@ -35,9 +35,14 @@ class TestBetti:
         assert {s: surfaces.b2_resolution(s) for s in (3, 4, 5, 6)} == \
             {3: 7, 4: 22, 5: 53, 6: 106}
 
-    def test_degree_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            surfaces.b2_resolution(1)
+    def test_degree_one_is_the_plane(self):
+        assert surfaces.b2_resolution(1) == 1
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_degree_below_one_rejected(self, s):
+        with pytest.raises(ValueError) as exc:
+            surfaces.b2_resolution(s)
+        assert str(exc.value) == f"degree must be at least 1, got {s}"
 
 
 class TestDimBounds:
