@@ -20,7 +20,6 @@ from .surfaces import (
     cayley_code,
     dim_lower_bound,
     kummer_code,
-    max_nodes,
     strict_weight_modulus,
     togliatti_code,
     weak_weight_residue,

@@ -14,7 +14,6 @@ excluded weights strictly between it and the smooth-contact endpoint.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
@@ -24,18 +23,6 @@ from . import formulas, gf2, surfaces
 from .surfaces import STRICT, WEAK
 
 SCHEMA_VERSION = "1"
-
-class UnprovenCaseError(ValueError):
-    """No established argument exists for this (degree, parity) pair."""
-
-    def __init__(self, s: int, parity: str):
-        proven = (formulas.PROVEN_STRICT_DEGREES if parity == STRICT
-                  else formulas.PROVEN_WEAK_DEGREES)
-        super().__init__(
-            f"the minimal-weight argument for degree {s} ({parity} parity) is "
-            f"not established; proven degrees for this parity: {list(proven)}"
-        )
-
 
 @dataclass(frozen=True)
 class Step:
@@ -69,9 +56,6 @@ class ProofCertificate:
 
     def to_dict(self) -> dict[str, Any]:
         return {"schema_version": SCHEMA_VERSION, **_encode(vars(self))}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _encode(value: Any) -> Any:
@@ -219,7 +203,9 @@ def derive_gaps(s: int, parity: str) -> ProofCertificate:
             return _weak_degree_two_certificate()
     case = _CASES.get((s, parity))
     if case is None:
-        raise UnprovenCaseError(s, parity)
+        raise formulas.UnprovenDegreeError(
+            s, formulas.PROVEN_STRICT_DEGREES if parity == STRICT
+            else formulas.PROVEN_WEAK_DEGREES)
 
     steps: list[Step] = []
     if parity == STRICT:

@@ -100,15 +100,17 @@ def cmd_gaps(args) -> tuple[str, dict[str, Any]]:
 
 def cmd_surface_bounds(args) -> tuple[str, dict[str, Any]]:
     surface = surfaces.NodalSurface(args.degree, args.nodes)
-    profile = surfaces.surface_profile(surface)
+    even_degree = args.degree % 2 == 0
     payload = {
         "degree": args.degree,
         "nodes": args.nodes,
         "b2_resolution": surfaces.b2_resolution(args.degree),
-        "dim_lower_bound_strict": profile.dim_lower_bound_strict,
-        "dim_lower_bound_even": profile.dim_lower_bound_even,
-        "strict_weight_modulus": profile.strict_modulus,
-        "weak_weight_residue": profile.weak_residue,
+        "dim_lower_bound_strict": surfaces.dim_lower_bound(surface, STRICT),
+        "dim_lower_bound_even": (surfaces.dim_lower_bound(surface, WEAK)
+                                 if even_degree else None),
+        "strict_weight_modulus": surfaces.strict_weight_modulus(args.degree),
+        "weak_weight_residue": (surfaces.weak_weight_residue(args.degree)
+                                if even_degree else None),
     }
     return "info", payload
 

@@ -73,17 +73,6 @@ def gallarati_check(m: int, n: int, q: int, t: int, sing_s: int) -> bool:
     return q * (t - sing_s) == m * n * (m - n)
 
 
-def contact_count_nodal(s: int, v: int, beta: int) -> int:
-    """Nodes cut out by a degree-v contact surface: s*v*(s-v)/2 + beta.
-
-    Exact when the contact surface is nodal, a lower bound otherwise.
-    Requires s > v >= 1.
-    """
-    if v < 1 or s <= v:
-        raise ValueError(f"need degree s > contact degree v >= 1, got s={s}, v={v}")
-    return reduced_contact_lower_bound(s, v) + beta
-
-
 def reduced_contact_lower_bound(s: int, v: int) -> int:
     """Weight lower bound s*v*(s-v)/2 for a reduced contact surface.
 

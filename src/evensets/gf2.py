@@ -69,19 +69,6 @@ class BitWord:
             raise ValueError(f"invalid bit string {bits!r}")
         return cls(len(bits), int(bits[::-1] or "0", 2))
 
-    @classmethod
-    def from_support(cls, length: int, indices: Iterable[int]) -> BitWord:
-        mask = 0
-        for i in indices:
-            if not 0 <= i < length:
-                raise ValueError(f"coordinate {i} outside [0, {length})")
-            mask |= 1 << i
-        return cls(length, mask)
-
-    @classmethod
-    def zero(cls, length: int) -> BitWord:
-        return cls(length, 0)
-
     def __str__(self) -> str:
         return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.length))
 
@@ -96,14 +83,6 @@ class BitWord:
     def weight(self) -> int:
         """Number of 1-coordinates."""
         return self.mask.bit_count()
-
-    def intersection_weight(self, other: BitWord) -> int:
-        """Number of coordinates where both words are 1."""
-        if self.length != other.length:
-            raise LengthMismatchError(
-                f"cannot intersect words of lengths {self.length} and {other.length}"
-            )
-        return (self.mask & other.mask).bit_count()
 
     def support(self) -> list[int]:
         """Ascending 0-based indices of the 1-coordinates."""
@@ -169,14 +148,6 @@ class LinearCode:
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> LinearCode:
         return cls.from_rows([BitWord.from_string(r) for r in rows])
-
-    @classmethod
-    def zero_code(cls, length: int) -> LinearCode:
-        return cls(length, ())
-
-    @classmethod
-    def full_space(cls, length: int) -> LinearCode:
-        return cls(length, tuple(1 << i for i in range(length)))
 
     @property
     def dimension(self) -> int:
@@ -319,6 +290,8 @@ def griesmer_max_dim(n: int, d: int) -> int:
     """Largest k admitted by the Griesmer bound for given n and d."""
     if d < 1:
         raise ValueError(f"minimum distance must be at least 1, got {d}")
+    if n < 1:
+        raise ValueError(f"length must be at least 1, got {n}")
     if d > n:
         raise ValueError(f"minimum distance {d} exceeds length {n}")
     top = (d - 1).bit_length()
@@ -336,9 +309,10 @@ def griesmer_max_dim(n: int, d: int) -> int:
 def parse_generator_matrix(text: str) -> list[BitWord]:
     """Parse the generator-matrix file format.
 
-    Lines of '0'/'1' characters, optional single spaces between characters;
-    '#' starts a comment line; blank lines are ignored; all data lines must
-    have equal length.  Coordinates are 0-based, leftmost column first.
+    Lines of '0'/'1' characters; every space in a data line is dropped, so
+    any spacing between characters is accepted; '#' starts a comment line;
+    blank lines are ignored; all data lines must have equal length.
+    Coordinates are 0-based, leftmost column first.
     """
     rows: list[BitWord] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import formulas
 from .formulas import WeakParityError  # so surfaces.WeakParityError stays public
@@ -36,8 +35,7 @@ def max_nodes(d: int) -> int:
 
 def b2_resolution(s: int) -> int:
     """Second Betti number of the resolved surface: s^3 - 4s^2 + 6s - 2."""
-    if s < 1:
-        raise ValueError(f"degree must be at least 1, got {s}")
+    formulas._require_degree(s)
     return s**3 - 4 * s**2 + 6 * s - 2
 
 
@@ -49,8 +47,7 @@ class NodalSurface:
     node_count: int
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be positive, got {self.degree}")
+        formulas._require_degree(self.degree)
         if self.node_count < 0:
             raise ValueError(f"node count must be nonnegative, got {self.node_count}")
         s = self.degree
@@ -93,27 +90,6 @@ def weak_weight_residue(s: int) -> int:
     residue = 4 * (base - math.floor(base))
     assert residue.denominator == 1
     return int(residue) % 4
-
-
-@dataclass(frozen=True)
-class SurfaceCodeProfile:
-    """Dimension and divisibility constraints for one surface."""
-
-    dim_lower_bound_strict: int
-    dim_lower_bound_even: Optional[int]
-    strict_modulus: int
-    weak_residue: Optional[int]
-
-
-def surface_profile(surface: NodalSurface) -> SurfaceCodeProfile:
-    s = surface.degree
-    even_degree = s % 2 == 0
-    return SurfaceCodeProfile(
-        dim_lower_bound_strict=dim_lower_bound(surface, STRICT),
-        dim_lower_bound_even=dim_lower_bound(surface, WEAK) if even_degree else None,
-        strict_modulus=strict_weight_modulus(s),
-        weak_residue=weak_weight_residue(s) if even_degree else None,
-    )
 
 
 KUMMER_ROWS = (

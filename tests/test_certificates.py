@@ -44,16 +44,16 @@ class TestDeriveGaps:
             assert derive_gaps(s, WEAK).validate()
 
     def test_unproven_pair_rejected(self):
-        with pytest.raises(certificates.UnprovenCaseError):
+        with pytest.raises(formulas.UnprovenDegreeError):
             derive_gaps(9, STRICT)
-        with pytest.raises(certificates.UnprovenCaseError):
+        with pytest.raises(formulas.UnprovenDegreeError):
             derive_gaps(10, WEAK)
 
     @pytest.mark.parametrize("s, parity", [(-1, STRICT), (0, STRICT), (0, WEAK)])
     def test_nonpositive_degree_rejected(self, s, parity):
         with pytest.raises(ValueError, match="surface degree must be at least 1") as exc:
             derive_gaps(s, parity)
-        assert not isinstance(exc.value, certificates.UnprovenCaseError)
+        assert not isinstance(exc.value, formulas.UnprovenDegreeError)
 
     def test_unknown_parity_rejected(self):
         with pytest.raises(ValueError) as exc:
@@ -69,12 +69,12 @@ class TestDeriveGaps:
             f"degree {s} is odd; weakly even sets need even degree"
 
     def test_deterministic_serialization(self):
-        a = derive_gaps(8, STRICT).to_json()
-        b = derive_gaps(8, STRICT).to_json()
+        a = json.dumps(derive_gaps(8, STRICT).to_dict())
+        b = json.dumps(derive_gaps(8, STRICT).to_dict())
         assert a == b
 
     def test_schema(self):
-        doc = json.loads(derive_gaps(7, STRICT).to_json())
+        doc = json.loads(json.dumps(derive_gaps(7, STRICT).to_dict()))
         assert doc["schema_version"] == "1"
         assert {"rule", "inputs", "asserted_output", "note"} <= set(doc["steps"][0])
         assert doc["conclusion"]["excluded_weights"] == [40]

@@ -238,6 +238,7 @@ class TestCalculators:
     @pytest.mark.parametrize("argv, message", [
         (["--k", "5", "--d", "0"], "minimum distance must be at least 1, got 0"),
         (["--k", "0", "--d", "5"], "dimension must be at least 1, got 0"),
+        (["--n", "-5", "--d", "1"], "length must be at least 1, got -5"),
     ])
     def test_griesmer_length_names_the_bad_argument(self, capsys, argv, message):
         code, out, err = run_cli(capsys, ["griesmer", *argv])
@@ -320,6 +321,13 @@ class TestCalculators:
         assert code == 2
         assert "error:" in err
 
+    def test_surface_bounds_degree_zero_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["surface", "bounds", "--degree", "0",
+                                          "--nodes", "0"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: surface degree must be at least 1, got 0\n"
+
     def test_surface_bounds_above_miyaoka_exits_2(self, capsys):
         code, out, err = run_cli(capsys, ["surface", "bounds", "--degree", "7",
                                           "--nodes", "1000000"])
@@ -350,7 +358,8 @@ class TestGaps:
         code, _, err = run_cli(capsys, ["gaps", "--degree", "9",
                                         "--parity", "strict"])
         assert code == 2
-        assert "not established" in err
+        assert err == ("error: minimal-weight value for degree 9 is conjectural; "
+                       "established degrees are [3, 4, 5, 6, 7, 8, 10]\n")
 
     @pytest.mark.parametrize("degree", ["0", "-1"])
     def test_nonpositive_degree_exits_2(self, capsys, degree):

@@ -87,17 +87,6 @@ class TestGallarati:
 
 
 class TestContactCounts:
-    def test_nodal_contact(self):
-        assert formulas.contact_count_nodal(4, 1, 0) == 6
-        assert formulas.contact_count_nodal(5, 2, 1) == 16
-        assert formulas.contact_count_nodal(6, 3, 0) == 27
-
-    def test_degree_order_enforced(self):
-        with pytest.raises(ValueError):
-            formulas.contact_count_nodal(4, 4, 0)
-        with pytest.raises(ValueError):
-            formulas.contact_count_nodal(4, 5, 0)
-
     @given(st.integers(2, 500).flatmap(
         lambda s: st.tuples(st.just(s), st.integers(1, s - 1))))
     def test_contact_product_is_twice_the_bound(self, sv):
@@ -128,7 +117,7 @@ class TestUnstableBound:
         for s in (4, 6, 8, 10):
             assert formulas.unstable_lower_bound(s, s // 2) == s**3 // 8
             assert formulas.unstable_lower_bound(s, s // 2) == \
-                formulas.contact_count_nodal(s, s // 2, 0)
+                formulas.reduced_contact_lower_bound(s, s // 2)
 
     def test_offset_twists(self):
         assert formulas.unstable_lower_bound(7, 4) == 42
@@ -141,9 +130,7 @@ class TestUnstableBound:
             product = s * v * (s - v)
             assert product % 2 == 0
             assert formulas.unstable_lower_bound(s, v) == product // 2 == \
-                formulas.reduced_contact_lower_bound(s, v) == \
-                formulas.contact_count_nodal(s, v, 0) == \
-                formulas.contact_count_nodal(s, v, 3) - 3
+                formulas.reduced_contact_lower_bound(s, v)
 
     def test_inadmissible_twist(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from evensets import formulas, gf2, surfaces
+from evensets import cli, formulas, gf2, surfaces
 from evensets.surfaces import STRICT, WEAK, NodalSurface
 
 
@@ -42,7 +44,7 @@ class TestBetti:
     def test_degree_below_one_rejected(self, s):
         with pytest.raises(ValueError) as exc:
             surfaces.b2_resolution(s)
-        assert str(exc.value) == f"degree must be at least 1, got {s}"
+        assert str(exc.value) == f"surface degree must be at least 1, got {s}"
 
 
 class TestDimBounds:
@@ -99,18 +101,24 @@ class TestWeightRules:
 
 
 class TestProfile:
-    def test_even_degree_profile(self):
-        profile = surfaces.surface_profile(NodalSurface(6, 65))
-        assert profile.dim_lower_bound_strict == 12
-        assert profile.dim_lower_bound_even == 13
-        assert profile.strict_modulus == 8
-        assert profile.weak_residue == 3
+    @staticmethod
+    def bounds_payload(capsys, degree, nodes):
+        assert cli.main(["--json", "surface", "bounds", "--degree", str(degree),
+                         "--nodes", str(nodes)]) == 0
+        return json.loads(capsys.readouterr().out)["payload"]
 
-    def test_odd_degree_profile(self):
-        profile = surfaces.surface_profile(NodalSurface(5, 31))
-        assert profile.dim_lower_bound_even is None
-        assert profile.strict_modulus == 4
-        assert profile.weak_residue is None
+    def test_even_degree_profile(self, capsys):
+        payload = self.bounds_payload(capsys, 6, 65)
+        assert payload["dim_lower_bound_strict"] == 12
+        assert payload["dim_lower_bound_even"] == 13
+        assert payload["strict_weight_modulus"] == 8
+        assert payload["weak_weight_residue"] == 3
+
+    def test_odd_degree_profile(self, capsys):
+        payload = self.bounds_payload(capsys, 5, 31)
+        assert payload["dim_lower_bound_even"] is None
+        assert payload["strict_weight_modulus"] == 4
+        assert payload["weak_weight_residue"] is None
 
 
 class TestExampleCodes:
