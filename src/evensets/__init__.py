@@ -31,11 +31,14 @@ from .certificates import (
     Step,
     derive_gaps,
     sextic_dim_certificate,
+)
+from .verification import (
     verify_concluding_table,
     verify_corollary_gaps,
     verify_example_cohomology_tables,
     verify_theorem_main,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The verification module is not a star export; its four reports are.
+__all__ = [name for name in dir() if not name.startswith("_") and name != "verification"]
 __version__ = "0.1.0"

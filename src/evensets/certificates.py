@@ -201,6 +201,8 @@ def derive_gaps(s: int, parity: str) -> ProofCertificate:
         formulas._require_even_degree(s)
         if s == 2:
             return _weak_degree_two_certificate()
+    else:
+        formulas._require_strict_degree(s)
     case = _CASES.get((s, parity))
     if case is None:
         raise formulas.UnprovenDegreeError(
@@ -353,7 +355,7 @@ def sextic_dim_certificate() -> ProofCertificate:
     return ProofCertificate(s, STRICT, steps, 12)
 
 
-# Excluded-weight table, by (degree, parity), for the degrees it covers.
+# Excluded-weight table, by (degree, parity); derive_gaps must reproduce it.
 GAP_TABLE = {
     (6, WEAK): (19, 23),
     (8, WEAK): (32, 36, 40, 44, 48, 52, 56),
@@ -362,97 +364,3 @@ GAP_TABLE = {
     (8, STRICT): (56,),
     (10, STRICT): (88, 96, 104, 112),
 }
-
-# Strictly even sets realized by known constructions, by degree.
-# Long rows are arithmetic progressions of step 8.
-KNOWN_STRICT_WEIGHTS = {
-    3: (4,),
-    4: (8, 16),
-    5: (16, 20),
-    6: (24, 32, 40),
-    8: (48, 64) + tuple(range(72, 129, 8)),
-    10: (80, 120) + tuple(range(128, 209, 8)),
-}
-
-# Cohomology table for the 16-node quartic: (weight, twist, h0, h1, h2).
-QUARTIC_COHOMOLOGY_TABLE = (
-    (8, 2, 2, 0, 0),
-    (8, 4, 8, 0, 0),
-    (16, 2, 0, 0, 0),
-    (16, 4, 6, 0, 0),
-    (6, 1, 1, 0, 0),
-    (6, 3, 5, 0, 0),
-    (10, 1, 0, 0, 0),
-    (10, 3, 4, 0, 0),
-)
-
-
-def _check(name: str, expected: Any, actual: Any) -> dict[str, Any]:
-    return {"name": name, "expected": expected, "actual": actual,
-            "pass": expected == actual}
-
-
-def _proven_pairs() -> list[tuple[int, str]]:
-    return ([(s, STRICT) for s in formulas.PROVEN_STRICT_DEGREES]
-            + [(s, WEAK) for s in formulas.PROVEN_WEAK_DEGREES])
-
-
-def verify_theorem_main() -> dict[str, Any]:
-    """Compare each derived minimal weight with the closed form."""
-    checks = []
-    for s, parity in _proven_pairs():
-        cert = derive_gaps(s, parity)
-        expected = formulas.e_min(s) if parity == STRICT else formulas.e_bar_min(s)
-        checks.append({
-            "name": f"min-weight degree {s} {parity}",
-            "expected": expected,
-            "actual": cert.conclusion.min_weight,
-            "pass": cert.conclusion.min_weight == expected and cert.validate(),
-        })
-    return _report("theorem-main", checks)
-
-
-def verify_corollary_gaps() -> dict[str, Any]:
-    """Compare derived excluded weights with the gap table, cell by cell."""
-    checks = []
-    for (s, parity), expected in sorted(GAP_TABLE.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        cert = derive_gaps(s, parity)
-        checks.append(_check(f"gap degree {s} {parity}", list(expected),
-                             list(cert.conclusion.excluded_weights)))
-    return _report("corollary-gaps", checks)
-
-
-def verify_concluding_table() -> dict[str, Any]:
-    """Consistency checks for the realized strictly-even weight table."""
-    checks = []
-    for s, weights in sorted(KNOWN_STRICT_WEIGHTS.items()):
-        modulus = surfaces.strict_weight_modulus(s)
-        checks.append({
-            "name": f"degree {s} divisibility",
-            "expected": f"all weights divisible by {modulus}",
-            "actual": list(weights),
-            "pass": all(w % modulus == 0 for w in weights),
-        })
-        checks.append(_check(f"degree {s} minimum", formulas.e_min(s), min(weights)))
-        if s in formulas.PROVEN_STRICT_DEGREES:
-            gap = derive_gaps(s, STRICT).conclusion.excluded_weights
-            checks.append(_check(f"degree {s} gap avoidance", [],
-                                 sorted(set(weights) & set(gap))))
-    return _report("concluding-table", checks)
-
-
-def verify_example_cohomology_tables() -> dict[str, Any]:
-    """chi must equal h0 - h1 + h2 in every quartic cohomology table row."""
-    checks = []
-    for w, v, h0, h1, h2 in QUARTIC_COHOMOLOGY_TABLE:
-        checks.append(_check(f"quartic weight {w} twist {v}", h0 - h1 + h2,
-                             _encode(formulas.chi(4, v, w))))
-    return _report("quartic-cohomology", checks)
-
-
-def _report(name: str, checks: list[dict[str, Any]]) -> dict[str, Any]:
-    return {
-        "name": name,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }

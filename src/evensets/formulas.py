@@ -43,6 +43,14 @@ def _require_even_degree(s: int) -> None:
         raise WeakParityError(f"degree {s} is odd; weakly even sets need even degree")
 
 
+def _require_strict_degree(s: int) -> None:
+    # A strictly even set has weight divisible by 4, and a surface of degree
+    # at most 2 has at most 1 node.
+    if s <= 2:
+        raise ValueError(f"no nonzero strictly even set exists in degree {s}; "
+                         f"a degree-{s} surface has at most 1 node")
+
+
 def chi(s: int, v: int, weight: int) -> Fraction:
     """Euler characteristic of the half-twist bundle for (degree, twist, weight).
 
@@ -115,6 +123,7 @@ def e_min(s: int) -> int:
     in PROVEN_STRICT_DEGREES.
     """
     _require_degree(s)
+    _require_strict_degree(s)
     if s not in PROVEN_STRICT_DEGREES:
         raise UnprovenDegreeError(s, PROVEN_STRICT_DEGREES)
     return quadric_contact_weight(s)

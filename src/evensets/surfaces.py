@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from . import formulas
-from .formulas import WeakParityError  # so surfaces.WeakParityError stays public
 from .gf2 import LinearCode
 
 STRICT = "strict"

@@ -9,6 +9,7 @@ import json
 import random
 from fractions import Fraction
 
+import evensets
 from evensets import certificates, cli, formulas, gf2, surfaces
 from evensets.surfaces import STRICT, WEAK
 from evensets.verification import CHI_CLOSED_FORMS
@@ -79,7 +80,7 @@ def test_criterion_06_chi_closed_forms():
 
 
 def test_criterion_07_theorem_main():
-    report = certificates.verify_theorem_main()
+    report = evensets.verify_theorem_main()
     minima = {(c["name"].split()[2], c["name"].split()[3]): c["actual"]
               for c in report["checks"]}
     strict = {int(s): v for (s, p), v in minima.items() if p == STRICT}
@@ -92,7 +93,7 @@ def test_criterion_07_theorem_main():
 
 
 def test_criterion_08_corollary_gaps():
-    report = certificates.verify_corollary_gaps()
+    report = evensets.verify_corollary_gaps()
     cells = {c["name"]: c["actual"] for c in report["checks"]}
     ok = (report["pass"]
           and cells["gap degree 8 weak"] == [32, 36, 40, 44, 48, 52, 56]
@@ -102,7 +103,7 @@ def test_criterion_08_corollary_gaps():
 
 
 def test_criterion_09_concluding_table():
-    report = certificates.verify_concluding_table()
+    report = evensets.verify_concluding_table()
     ok = report["pass"]
     _verdict(9, "realized strict weights pass divisibility, gap avoidance "
                 "and per-degree minima", ok)

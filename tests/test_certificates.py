@@ -2,18 +2,13 @@ import json
 
 import pytest
 
-from evensets import certificates, formulas
+from evensets import certificates, formulas, verification
 from evensets.certificates import (
     CHECKERS,
-    GAP_TABLE,
     Step,
     check_step,
     derive_gaps,
     sextic_dim_certificate,
-    verify_concluding_table,
-    verify_corollary_gaps,
-    verify_example_cohomology_tables,
-    verify_theorem_main,
 )
 from evensets.surfaces import STRICT, WEAK
 
@@ -67,6 +62,14 @@ class TestDeriveGaps:
             derive_gaps(s, WEAK)
         assert str(exc.value) == \
             f"degree {s} is odd; weakly even sets need even degree"
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_strict_parity_on_low_degree_is_impossible(self, s):
+        with pytest.raises(ValueError) as exc:
+            derive_gaps(s, STRICT)
+        assert str(exc.value) == (
+            f"no nonzero strictly even set exists in degree {s}; "
+            f"a degree-{s} surface has at most 1 node")
 
     def test_deterministic_serialization(self):
         a = json.dumps(derive_gaps(8, STRICT).to_dict())
@@ -138,7 +141,7 @@ CITED_RULES = {"hypothesis", "deviation-note"}
 
 
 def all_certificates():
-    return ([derive_gaps(s, parity) for s, parity in certificates._proven_pairs()]
+    return ([derive_gaps(s, parity) for s, parity in verification._proven_pairs()]
             + [sextic_dim_certificate()])
 
 
@@ -194,43 +197,3 @@ class TestSexticCertificate:
     def test_no_weight56_hypothesis_recorded(self):
         cert = sextic_dim_certificate()
         assert any("56" in s.note for s in cert.steps if s.rule == "hypothesis")
-
-
-class TestReports:
-    def test_theorem_main(self):
-        report = verify_theorem_main()
-        assert report["pass"]
-        minima = {c["name"]: c["actual"] for c in report["checks"]}
-        assert minima["min-weight degree 3 strict"] == 4
-        assert minima["min-weight degree 4 weak"] == 6
-        assert minima["min-weight degree 7 strict"] == 36
-        assert len(report["checks"]) == 11
-
-    def test_corollary_gaps(self):
-        report = verify_corollary_gaps()
-        assert report["pass"]
-        cells = {c["name"]: c["actual"] for c in report["checks"]}
-        assert cells["gap degree 8 weak"] == [32, 36, 40, 44, 48, 52, 56]
-        assert cells["gap degree 10 strict"] == [88, 96, 104, 112]
-        assert cells["gap degree 6 strict"] == []
-
-    def test_concluding_table(self):
-        report = verify_concluding_table()
-        assert report["pass"]
-
-    def test_concluding_table_expansions(self):
-        weights8 = certificates.KNOWN_STRICT_WEIGHTS[8]
-        assert weights8[:3] == (48, 64, 72)
-        assert weights8[-1] == 128
-        weights10 = certificates.KNOWN_STRICT_WEIGHTS[10]
-        assert 88 not in weights10 and 112 not in weights10
-        assert weights10[-1] == 208
-
-    def test_cohomology_tables(self):
-        report = verify_example_cohomology_tables()
-        assert report["pass"]
-        assert len(report["checks"]) == 8
-
-    def test_gap_table_is_what_reports_check(self):
-        for (s, parity), excluded in GAP_TABLE.items():
-            assert derive_gaps(s, parity).conclusion.excluded_weights == excluded

@@ -292,6 +292,17 @@ class TestCalculators:
         assert out == ""
         assert err == "error: degree 3 is odd; weakly even sets need even degree\n"
 
+    @pytest.mark.parametrize("argv, degree", [
+        (["emin", "--degree", "2"], 2),
+        (["gaps", "--degree", "1", "--parity", "strict"], 1),
+    ])
+    def test_strict_parity_on_low_degree_exits_2(self, capsys, argv, degree):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: no nonzero strictly even set exists in degree "
+                       f"{degree}; a degree-{degree} surface has at most 1 node\n")
+
     def test_emin_unproven_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["emin", "--degree", "9"])
         assert code == 2
@@ -383,21 +394,23 @@ class TestVerifyPaper:
         assert first == second
         assert json.loads(first)["status"] == "pass"
 
-    def test_corrupted_data_file_fails(self, capsys, tmp_path):
+    @pytest.mark.parametrize("label", ["kummer", "togliatti"])
+    def test_corrupted_data_file_fails(self, capsys, tmp_path, label):
         data = resources.files("evensets") / "data"
         for name in ("kummer.txt", "togliatti.txt"):
             shutil.copy(str(data / name), tmp_path / name)
-        rows = [l for l in (tmp_path / "kummer.txt").read_text().splitlines()]
-        flip = rows.index("1111111100000000")
-        rows[flip] = "0111111100000000"
-        (tmp_path / "kummer.txt").write_text("\n".join(rows) + "\n")
+        path = tmp_path / f"{label}.txt"
+        rows = path.read_text().splitlines()
+        flip = next(i for i, row in enumerate(rows) if row.startswith("1"))
+        rows[flip] = "0" + rows[flip][1:]
+        path.write_text("\n".join(rows) + "\n")
         code, out, _ = run_cli(capsys, ["--json", "verify", "paper",
                                         "--data-dir", str(tmp_path)])
         assert code == 1
         doc = json.loads(out)
         assert doc["status"] == "fail"
         failing = [c["name"] for c in doc["payload"]["checks"] if not c["pass"]]
-        assert failing == ["kummer data file round trip"]
+        assert failing == [f"{label} data file round trip"]
 
 
 class TestOutputHandling:

@@ -160,6 +160,14 @@ class TestMinimalWeights:
         with pytest.raises(formulas.UnprovenDegreeError):
             formulas.e_bar_min(6 + 4)  # 10 is unproven for the weak case
 
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_e_min_low_degree_is_impossible(self, s):
+        with pytest.raises(ValueError) as exc:
+            formulas.e_min(s)
+        assert str(exc.value) == (
+            f"no nonzero strictly even set exists in degree {s}; "
+            f"a degree-{s} surface has at most 1 node")
+
     @pytest.mark.parametrize("s", [3, 5, 9])
     def test_e_bar_min_odd_degree_is_impossible(self, s):
         with pytest.raises(formulas.WeakParityError) as exc:

@@ -63,7 +63,7 @@ class TestDimBounds:
                 assert weak == strict + 1
 
     def test_weak_needs_even_degree(self):
-        with pytest.raises(surfaces.WeakParityError):
+        with pytest.raises(formulas.WeakParityError):
             surfaces.dim_lower_bound(NodalSurface(5, 31), WEAK)
 
     def test_unknown_parity_rejected(self):
@@ -95,7 +95,7 @@ class TestWeightRules:
                 assert integral == (w % 4 == r)
 
     def test_weak_residue_odd_degree(self):
-        with pytest.raises(surfaces.WeakParityError) as exc:
+        with pytest.raises(formulas.WeakParityError) as exc:
             surfaces.weak_weight_residue(5)
         assert str(exc.value) == "degree 5 is odd; weakly even sets need even degree"
 
