@@ -1,7 +1,8 @@
 """Binary-code analytics for even sets of nodes on nodal surfaces."""
 
+from types import ModuleType as _ModuleType
+
 from .gf2 import (
-    BitWord,
     LinearCode,
     classify_parity,
     dual_code,
@@ -39,6 +40,7 @@ from .verification import (
     verify_theorem_main,
 )
 
-# The verification module is not a star export; its four reports are.
-__all__ = [name for name in dir() if not name.startswith("_") and name != "verification"]
+# Star exports are the classes and functions above, not the submodules.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

@@ -75,7 +75,8 @@ def _encode(value: Any) -> Any:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
     if isinstance(value, gf2.LinearCode):
-        return {"length": value.length, "rows": [str(w) for w in value.basis()]}
+        return {"length": value.length,
+                "rows": [gf2.bit_string(value.length, m) for m in value.rows]}
     if is_dataclass(value):
         return _encode(vars(value))
     return value

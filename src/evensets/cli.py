@@ -23,8 +23,7 @@ from .surfaces import STRICT, WEAK
 
 
 def _load_code(path: str) -> gf2.LinearCode:
-    text = Path(path).read_text(encoding="utf-8")
-    return gf2.LinearCode.from_rows(gf2.parse_generator_matrix(text))
+    return gf2.parse_generator_matrix(Path(path).read_text(encoding="utf-8"))
 
 
 def cmd_code_analyze(args) -> tuple[str, dict[str, Any]]:
@@ -45,8 +44,7 @@ def cmd_code_analyze(args) -> tuple[str, dict[str, Any]]:
 
 def cmd_code_project(args) -> tuple[str, dict[str, Any]]:
     code = _load_code(args.file)
-    word = gf2.BitWord.from_string(args.word)
-    image, kernel_dim = gf2.project_onto_support(code, word)
+    image, kernel_dim = gf2.project_onto_support(code, args.word)
     payload = {
         "file": args.file,
         "word": args.word,

@@ -1,10 +1,12 @@
 """GF(2) linear-algebra and coding-theory kernel.
 
-Words are fixed-length bit vectors stored as Python integers (bit j of the
-mask is coordinate j, so coordinate 0 is the least significant bit).  Codes
-are subspaces of GF(2)^n.  The LinearCode constructor accepts any spanning
-row masks and stores their reduced row-echelon basis, which makes subspace
-equality plain value equality.
+A word of a code of length n is an int mask below 2^n (bit j of the mask is
+coordinate j, so coordinate 0 is the least significant bit).  Its only
+outside form is a '0'/'1' string with coordinate 0 leftmost, read by
+parse_bits and written by bit_string.  Codes are subspaces of GF(2)^n.  The
+LinearCode constructor accepts any spanning row masks and stores their
+reduced row-echelon basis, which makes subspace equality plain value
+equality.
 
 All values are immutable; nothing here mutates shared state.
 """
@@ -47,46 +49,16 @@ class GeneratorMatrixParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True, order=True)
-class BitWord:
-    """A vector in GF(2)^length; coordinates are 0-based."""
+def parse_bits(bits: str) -> int:
+    """Mask of a '0'/'1' string; leftmost character is coordinate 0."""
+    if bits.strip("01"):
+        raise ValueError(f"invalid bit string {bits!r}")
+    return int(bits[::-1] or "0", 2)
 
-    length: int
-    mask: int
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError(f"negative length {self.length}")
-        if self.mask < 0:
-            raise ValueError(f"negative mask {self.mask}")
-        if self.mask >> self.length:
-            raise ValueError(f"mask 0x{self.mask:x} does not fit in {self.length} bits")
-
-    @classmethod
-    def from_string(cls, bits: str) -> BitWord:
-        """Parse a '0'/'1' string; leftmost character is coordinate 0."""
-        if bits.strip("01"):
-            raise ValueError(f"invalid bit string {bits!r}")
-        return cls(len(bits), int(bits[::-1] or "0", 2))
-
-    def __str__(self) -> str:
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.length))
-
-    def __add__(self, other: BitWord) -> BitWord:
-        if self.length != other.length:
-            raise LengthMismatchError(
-                f"cannot add words of lengths {self.length} and {other.length}"
-            )
-        return BitWord(self.length, self.mask ^ other.mask)
-
-    @property
-    def weight(self) -> int:
-        """Number of 1-coordinates."""
-        return self.mask.bit_count()
-
-    def support(self) -> list[int]:
-        """Ascending 0-based indices of the 1-coordinates."""
-        return [i for i in range(self.length) if self.mask >> i & 1]
+def bit_string(length: int, mask: int) -> str:
+    """The '0'/'1' string of a mask of the given length; inverse of parse_bits."""
+    return f"{mask:0{length}b}"[::-1] if length else ""
 
 
 def _rref(length: int, masks: Iterable[int]) -> tuple[int, ...]:
@@ -133,33 +105,23 @@ class LinearCode:
         object.__setattr__(self, "rows", _rref(self.length, self.rows))
 
     @classmethod
-    def from_rows(cls, words: Sequence[BitWord]) -> LinearCode:
-        """Span of the given words; dependent rows are dropped."""
-        if not words:
-            raise ValueError("cannot infer ambient length from an empty row list")
-        length = words[0].length
-        for w in words:
-            if w.length != length:
-                raise LengthMismatchError(
-                    f"row lengths differ: {w.length} vs {length}"
-                )
-        return cls(length, tuple(w.mask for w in words))
-
-    @classmethod
     def from_strings(cls, rows: Sequence[str]) -> LinearCode:
-        return cls.from_rows([BitWord.from_string(r) for r in rows])
+        """Span of the given '0'/'1' rows; dependent rows are dropped."""
+        if not rows:
+            raise ValueError("cannot infer ambient length from an empty row list")
+        length = len(rows[0])
+        for r in rows:
+            if len(r) != length:
+                raise LengthMismatchError(f"row lengths differ: {len(r)} vs {length}")
+        return cls(length, tuple(parse_bits(r) for r in rows))
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
-    def basis(self) -> list[BitWord]:
-        return [BitWord(self.length, m) for m in self.rows]
-
-    def contains(self, w: BitWord) -> bool:
-        if w.length != self.length:
-            return False
-        residue = w.mask
+    def contains(self, mask: int) -> bool:
+        """True iff the word with this mask is in the code."""
+        residue = mask
         for row in self.rows:
             low = row & -row
             if residue & low:
@@ -167,8 +129,8 @@ class LinearCode:
         return residue == 0
 
 
-def enumerate_codewords(code: LinearCode) -> Iterator[BitWord]:
-    """Yield all 2^k codewords, zero word first.
+def enumerate_codewords(code: LinearCode) -> Iterator[int]:
+    """Yield the masks of all 2^k codewords, zero word first.
 
     Order is fixed: the binary-reflected Gray code.  Step i (for i >= 1) adds
     basis row (i & -i).bit_length() - 1 to the previous word, so the i-th word
@@ -178,12 +140,12 @@ def enumerate_codewords(code: LinearCode) -> Iterator[BitWord]:
     k = code.dimension
     if k > ENUMERATION_CAP:
         raise EnumerationCapError(k)
-    n, rows = code.length, code.rows
+    rows = code.rows
     mask = 0
-    yield BitWord(n, mask)
+    yield mask
     for i in range(1, 1 << k):
         mask ^= rows[(i & -i).bit_length() - 1]
-        yield BitWord(n, mask)
+        yield mask
 
 
 def _krawtchouk(n: int, j: int, i: int) -> int:
@@ -202,8 +164,8 @@ def _weight_counts(code: LinearCode) -> list[int]:
     n, k = code.length, code.dimension
     walked = dual_code(code) if n - k < k else code
     counts = [0] * (n + 1)
-    for w in enumerate_codewords(walked):
-        counts[w.mask.bit_count()] += 1
+    for m in enumerate_codewords(walked):
+        counts[m.bit_count()] += 1
     if walked is code:
         return counts
     weights = [(i, b) for i, b in enumerate(counts) if b]
@@ -256,19 +218,20 @@ def is_self_orthogonal(code: LinearCode) -> bool:
     return all((a & b).bit_count() % 2 == 0 for i, a in enumerate(rows) for b in rows[i:])
 
 
-def project_onto_support(code: LinearCode, w: BitWord) -> tuple[LinearCode, int]:
+def project_onto_support(code: LinearCode, word: str) -> tuple[LinearCode, int]:
     """Project each codeword v to v AND w, restricted to support(w).
 
-    Returns the image code (length = weight of w) and the dimension of the
-    projection kernel.  If 2d divides every weight of the code, d divides
-    every weight of the image.
+    word is w as a '0'/'1' string.  Returns the image code (length = weight
+    of w) and the dimension of the projection kernel.  If 2d divides every
+    weight of the code, d divides every weight of the image.
     """
-    if w.length != code.length:
-        raise LengthMismatchError(f"cannot project a word of length {w.length} "
+    mask = parse_bits(word)
+    if len(word) != code.length:
+        raise LengthMismatchError(f"cannot project a word of length {len(word)} "
                                   f"onto a code of length {code.length}")
-    if not code.contains(w):
-        raise NotACodewordError(f"word {w} is not in the code")
-    positions = w.support()
+    if not code.contains(mask):
+        raise NotACodewordError(f"word {word} is not in the code")
+    positions = [i for i in range(code.length) if mask >> i & 1]
     image = LinearCode(len(positions), tuple(
         sum(1 << j for j, pos in enumerate(positions) if row >> pos & 1)
         for row in code.rows))
@@ -306,15 +269,15 @@ def griesmer_max_dim(n: int, d: int) -> int:
     return top + n - length
 
 
-def parse_generator_matrix(text: str) -> list[BitWord]:
-    """Parse the generator-matrix file format.
+def parse_generator_matrix(text: str) -> LinearCode:
+    """Parse the generator-matrix file format into the code its rows span.
 
     Lines of '0'/'1' characters; every space in a data line is dropped, so
     any spacing between characters is accepted; '#' starts a comment line;
     blank lines are ignored; all data lines must have equal length.
     Coordinates are 0-based, leftmost column first.
     """
-    rows: list[BitWord] = []
+    rows: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -324,12 +287,11 @@ def parse_generator_matrix(text: str) -> list[BitWord]:
             raise GeneratorMatrixParseError(
                 f"expected only '0', '1' and spaces, got {line!r}", lineno
             )
-        word = BitWord.from_string(compact)
-        if rows and word.length != rows[0].length:
+        if rows and len(compact) != len(rows[0]):
             raise GeneratorMatrixParseError(
-                f"row has {word.length} columns, expected {rows[0].length}", lineno
+                f"row has {len(compact)} columns, expected {len(rows[0])}", lineno
             )
-        rows.append(word)
+        rows.append(compact)
     if not rows:
         raise GeneratorMatrixParseError("no data rows found")
-    return rows
+    return LinearCode.from_strings(rows)

@@ -171,8 +171,8 @@ def run_full_verification(data_dir: Optional[Path] = None) -> dict[str, Any]:
 
     data = data_dir or resources.files("evensets") / "data"
     for label, expected in (("kummer", kummer), ("togliatti", togliatti)):
-        parsed = gf2.LinearCode.from_rows(gf2.parse_generator_matrix(
-            (data / f"{label}.txt").read_text(encoding="utf-8")))
+        parsed = gf2.parse_generator_matrix(
+            (data / f"{label}.txt").read_text(encoding="utf-8"))
         checks.append(_check(f"{label} data file round trip", expected, parsed))
 
     checks.append(_check("griesmer length k=5 d=8", 16, gf2.griesmer_min_length(5, 8)))

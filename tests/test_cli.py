@@ -458,6 +458,31 @@ class TestOutputHandling:
         assert "n_min: 16" in proc.stdout
 
 
+# Loads the CLI in a fresh interpreter, runs the sweep and a code analysis,
+# and prints every top-level module loaded since start-up that is neither
+# evensets nor part of the standard library.
+NON_STDLIB_IMPORTS = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json
+from importlib import resources
+import evensets.cli
+kummer = str(resources.files("evensets") / "data" / "kummer.txt")
+for argv in (["--json", "verify", "paper"], ["--json", "code", "analyze", kummer]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert evensets.cli.main(argv) == 0, argv
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"evensets"})))
+"""
+
+
+def test_runs_on_the_standard_library_alone():
+    proc = subprocess.run([sys.executable, "-c", NON_STDLIB_IMPORTS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 # Placeholders in fuzzed argv, replaced by paths inside a temporary directory
 # and, for FIRST_ROW, by the first line of the matrix file (a codeword when
 # the file is a 0/1 matrix).

@@ -6,58 +6,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evensets import gf2
-from evensets.gf2 import BitWord, LinearCode
+from evensets.gf2 import LinearCode, bit_string, parse_bits
 from evensets.surfaces import KUMMER_ROWS, kummer_code, togliatti_code
 
 
-def word(bits: str) -> BitWord:
-    return BitWord.from_string(bits)
-
-
 class TestBitWord:
-    def test_weight(self):
-        assert word("0000").weight == 0
-        assert word("1" * 16).weight == 16
-        assert word("1100110011001100").weight == 8
-
-    def test_add(self):
-        assert word("1100") + word("0110") == word("1010")
-        w = word("10110")
-        assert w + w == BitWord(5, 0)
-
-    def test_add_length_mismatch(self):
-        with pytest.raises(gf2.LengthMismatchError):
-            word("110") + word("1100")
+    """Words: int masks and their '0'/'1' strings, coordinate 0 leftmost."""
 
     def test_kummer_row_xor_has_weight_8(self):
-        r1, r2 = word(KUMMER_ROWS[0]), word(KUMMER_ROWS[1])
-        assert (r1 + r2).weight == 8
+        r1, r2 = parse_bits(KUMMER_ROWS[0]), parse_bits(KUMMER_ROWS[1])
+        assert (r1 ^ r2).bit_count() == 8
         # direct count against the combined marks
         marks = [a != b for a, b in zip(KUMMER_ROWS[0], KUMMER_ROWS[1])]
         assert sum(marks) == 8
 
     def test_intersection_identity(self):
-        v, w = word("1011010"), word("0111001")
-        assert (v + w).weight + 2 * (v.mask & w.mask).bit_count() == v.weight + w.weight
-
-    def test_support(self):
-        assert word("0000").support() == []
-        assert word("1010").support() == [0, 2]
-        assert word(KUMMER_ROWS[2]).support() == [0, 1, 4, 5, 8, 9, 12, 13]
+        v, w = parse_bits("1011010"), parse_bits("0111001")
+        assert (v ^ w).bit_count() + 2 * (v & w).bit_count() == v.bit_count() + w.bit_count()
 
     def test_string_round_trip(self):
-        for bits in ("0", "1", "100101", "0000"):
-            assert str(word(bits)) == bits
-
-    @pytest.mark.parametrize("length, mask, message", [
-        (-1, 0, "negative length -1"),
-        (3, 0b1000, "mask 0x8 does not fit in 3 bits"),
-        (3, -1, "negative mask -1"),
-    ])
-    def test_invalid_word_rejected(self, length, mask, message):
-        with pytest.raises(ValueError) as exc:
-            BitWord(length, mask)
-        assert str(exc.value) == message
+        for bits in ("0", "1", "100101", "0000", ""):
+            assert bit_string(len(bits), parse_bits(bits)) == bits
 
     @settings(max_examples=200)
     @given(st.text("01", max_size=80))
@@ -67,7 +36,8 @@ class TestBitWord:
         for i, c in enumerate(bits):
             if c == "1":
                 mask |= 1 << i
-        assert BitWord.from_string(bits) == BitWord(len(bits), mask)
+        assert parse_bits(bits) == mask
+        assert bit_string(len(bits), mask) == bits
 
     @settings(max_examples=200)
     @given(st.text("01", max_size=8), st.text(min_size=1).filter(lambda t: t.strip("01")),
@@ -75,34 +45,33 @@ class TestBitWord:
     def test_from_string_rejects_any_other_character(self, head, junk, tail):
         bits = head + junk + tail
         with pytest.raises(ValueError) as exc:
-            BitWord.from_string(bits)
+            parse_bits(bits)
         assert str(exc.value) == f"invalid bit string {bits!r}"
 
     @pytest.mark.parametrize("bits", [" ", "_", "+", "2", "\u0661", "1 0", "1_0", "+1",
                                       " 01", "0b1", "01\n"])
     def test_from_string_rejects_what_int_would_accept(self, bits):
         with pytest.raises(ValueError) as exc:
-            BitWord.from_string(bits)
+            parse_bits(bits)
         assert str(exc.value) == f"invalid bit string {bits!r}"
-
 
 
 class TestLinearCode:
     def test_duplicate_rows_drop(self):
-        code = LinearCode.from_rows([word("1100"), word("1100"), word("0011")])
+        code = LinearCode.from_strings(["1100", "1100", "0011"])
         assert code.dimension == 2
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
-            LinearCode.from_rows([])
+            LinearCode.from_strings([])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(gf2.LengthMismatchError):
-            LinearCode.from_rows([word("110"), word("1100")])
+            LinearCode.from_strings(["110", "1100"])
 
     def test_canonical_equality(self):
-        a = LinearCode.from_rows([word("110"), word("011")])
-        b = LinearCode.from_rows([word("101"), word("011")])
+        a = LinearCode.from_strings(["110", "011"])
+        b = LinearCode.from_strings(["101", "011"])
         assert a == b
 
     def test_constructor_canonicalises(self):
@@ -124,8 +93,10 @@ class TestLinearCode:
     def test_contains(self):
         code = kummer_code()
         for row in KUMMER_ROWS:
-            assert code.contains(word(row))
-        assert not code.contains(word("1" + "0" * 15))
+            assert code.contains(parse_bits(row))
+        assert not code.contains(parse_bits("1" + "0" * 15))
+        # a mask reaching past the code's length is no codeword
+        assert not code.contains(parse_bits(KUMMER_ROWS[0] + "1"))
 
     def test_paper_codes_have_dimension_5(self):
         assert kummer_code().dimension == 5
@@ -135,12 +106,12 @@ class TestLinearCode:
 class TestEnumeration:
     def test_zero_dimensional_code(self):
         code = LinearCode(4, ())
-        assert list(gf2.enumerate_codewords(code)) == [BitWord(4, 0)]
+        assert list(gf2.enumerate_codewords(code)) == [0]
         assert gf2.weight_distribution(code) == {0: 1}
 
     def test_starts_with_zero_word(self):
         words = list(gf2.enumerate_codewords(kummer_code()))
-        assert words[0] == BitWord(16, 0)
+        assert words[0] == 0
         assert len(words) == 32
         assert len(set(words)) == 32
 
@@ -165,7 +136,7 @@ class TestWeightAnalytics:
     def test_minimum_distance(self):
         assert gf2.minimum_distance(kummer_code()) == 8
         assert gf2.minimum_distance(togliatti_code()) == 16
-        assert gf2.minimum_distance(LinearCode.from_rows([word("1111")])) == 4
+        assert gf2.minimum_distance(LinearCode.from_strings(["1111"])) == 4
 
     def test_minimum_distance_zero_code(self):
         with pytest.raises(ValueError):
@@ -186,9 +157,9 @@ class TestDual:
     def test_dual_dimension_and_orthogonality(self, code, expected_dual_dim):
         dual = gf2.dual_code(code)
         assert dual.dimension == expected_dual_dim
-        for dual_word in dual.basis():
-            for generator in code.basis():
-                assert (dual_word.mask & generator.mask).bit_count() % 2 == 0
+        for dual_word in dual.rows:
+            for generator in code.rows:
+                assert (dual_word & generator).bit_count() % 2 == 0
 
     def test_double_dual(self):
         code = kummer_code()
@@ -200,8 +171,8 @@ class TestParity:
         assert gf2.classify_parity(kummer_code()) == "doubly-even"
 
     def test_even_and_not_even(self):
-        assert gf2.classify_parity(LinearCode.from_rows([word("110")])) == "even"
-        assert gf2.classify_parity(LinearCode.from_rows([word("100")])) == "not-even"
+        assert gf2.classify_parity(LinearCode.from_strings(["110"])) == "even"
+        assert gf2.classify_parity(LinearCode.from_strings(["100"])) == "not-even"
 
     def test_self_orthogonality(self):
         assert gf2.is_self_orthogonal(kummer_code())
@@ -212,33 +183,45 @@ class TestParity:
 class TestProjection:
     def test_identity_projection(self):
         code = kummer_code()
-        all_ones = word("1" * 16)
-        image, kernel_dim = gf2.project_onto_support(code, all_ones)
+        image, kernel_dim = gf2.project_onto_support(code, "1" * 16)
         assert kernel_dim == 0
         assert image.dimension == code.dimension
         assert gf2.weight_distribution(image) == gf2.weight_distribution(code)
 
     def test_zero_word_projection(self):
         code = kummer_code()
-        image, kernel_dim = gf2.project_onto_support(code, BitWord(16, 0))
+        image, kernel_dim = gf2.project_onto_support(code, "0" * 16)
         assert image.length == 0
         assert kernel_dim == code.dimension
 
     def test_non_codeword_rejected(self):
         with pytest.raises(gf2.NotACodewordError):
-            gf2.project_onto_support(kummer_code(), word("1" + "0" * 15))
+            gf2.project_onto_support(kummer_code(), "1" + "0" * 15)
 
     def test_length_mismatch_names_both_lengths(self):
         with pytest.raises(gf2.LengthMismatchError) as exc:
-            gf2.project_onto_support(kummer_code(), word("111"))
+            gf2.project_onto_support(kummer_code(), "111")
         assert str(exc.value) == "cannot project a word of length 3 onto a code of length 16"
+
+    @pytest.mark.parametrize("word, message", [
+        ("12", "invalid bit string '12'"),
+        ("1" * 15 + "x", "invalid bit string '111111111111111x'"),
+        ("", "cannot project a word of length 0 onto a code of length 16"),
+        ("1" * 17, "cannot project a word of length 17 onto a code of length 16"),
+        ("1" + "0" * 15, "word 1000000000000000 is not in the code"),
+    ])
+    def test_word_checks_in_order(self, word, message):
+        # the characters first, then the length, then membership
+        with pytest.raises(ValueError) as exc:
+            gf2.project_onto_support(kummer_code(), word)
+        assert str(exc.value) == message
 
     def test_kummer_weight8_projections_doubly_even(self):
         code = kummer_code()
-        weight8 = [w for w in gf2.enumerate_codewords(code) if w.weight == 8]
+        weight8 = [m for m in gf2.enumerate_codewords(code) if m.bit_count() == 8]
         assert len(weight8) == 30
-        for w in weight8:
-            image, kernel_dim = gf2.project_onto_support(code, w)
+        for m in weight8:
+            image, kernel_dim = gf2.project_onto_support(code, bit_string(16, m))
             assert image.length == 8
             assert kernel_dim == code.dimension - image.dimension
             # original weights divisible by 8, so image weights divisible by 4
@@ -319,8 +302,9 @@ class TestGriesmer:
 class TestParsing:
     def test_round_trip_with_comments_and_spaces(self):
         for text in ("# header\n\n1 1 0 0\n0011\n", "# header\n\n1  1 0 0\n0011\n"):
-            rows = gf2.parse_generator_matrix(text)
-            assert [str(r) for r in rows] == ["1100", "0011"]
+            code = gf2.parse_generator_matrix(text)
+            assert code == LinearCode.from_strings(["1100", "0011"])
+            assert [bit_string(code.length, m) for m in code.rows] == ["1100", "0011"]
 
     def test_ragged_rows_report_line(self):
         with pytest.raises(gf2.GeneratorMatrixParseError) as err:
@@ -344,7 +328,7 @@ class TestParsing:
 def word_pairs(draw):
     n = draw(st.integers(1, 64))
     bits = st.integers(0, (1 << n) - 1)
-    return BitWord(n, draw(bits)), BitWord(n, draw(bits))
+    return draw(bits), draw(bits)
 
 
 @st.composite
@@ -353,8 +337,7 @@ def random_codes(draw):
     n_rows = draw(st.integers(1, 10))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1),
                           min_size=n_rows, max_size=n_rows))
-    return LinearCode.from_rows([BitWord(n, m) for m in masks]) if any(masks) \
-        else LinearCode(n, ())
+    return LinearCode(n, tuple(masks))
 
 
 @st.composite
@@ -366,12 +349,12 @@ def masks_of_length(draw):
 class TestProperties:
     @settings(max_examples=200)
     @given(masks_of_length())
-    def test_constructor_matches_from_rows_and_is_rref(self, case):
+    def test_constructor_matches_from_strings_and_is_rref(self, case):
         n, masks = case
         code = LinearCode(n, tuple(masks))
-        assert code == (LinearCode.from_rows([BitWord(n, m) for m in masks])
+        assert code == (LinearCode.from_strings([bit_string(n, m) for m in masks])
                         if masks else LinearCode(n, ()))
-        assert all(code.contains(BitWord(n, m)) for m in masks)
+        assert all(code.contains(m) for m in masks)
         # RREF: nonzero rows, pivots (lowest set bits) strictly increasing,
         # and each pivot bit set only in its own row.
         lows = [row & -row for row in code.rows]
@@ -382,7 +365,7 @@ class TestProperties:
     @given(word_pairs())
     def test_weight_identity(self, pair):
         v, w = pair
-        assert (v + w).weight + 2 * (v.mask & w.mask).bit_count() == v.weight + w.weight
+        assert (v ^ w).bit_count() + 2 * (v & w).bit_count() == v.bit_count() + w.bit_count()
 
     @settings(max_examples=200)
     @given(random_codes())
@@ -406,22 +389,24 @@ class TestProperties:
         code = togliatti_code()
         words = list(gf2.enumerate_codewords(code))
         w = words[message]
-        if w.weight == 0:
+        if w == 0:
             return
-        image, _ = gf2.project_onto_support(code, w)
+        image, _ = gf2.project_onto_support(code, bit_string(code.length, w))
         assert all(v % 8 == 0 for v in gf2.weight_distribution(image))
+
+
+def message_word(code: LinearCode, message: int) -> int:
+    """The codeword whose bit r of message selects row r."""
+    mask = 0
+    for r, row in enumerate(code.rows):
+        if message >> r & 1:
+            mask ^= row
+    return mask
 
 
 def message_order_weights(code: LinearCode) -> list[int]:
     """Weights of all 2^k codewords, each rebuilt from its message bits."""
-    weights = []
-    for message in range(1 << code.dimension):
-        mask = 0
-        for r, row in enumerate(code.rows):
-            if message >> r & 1:
-                mask ^= row
-        weights.append(mask.bit_count())
-    return weights
+    return [message_word(code, message).bit_count() for message in range(1 << code.dimension)]
 
 
 @st.composite
@@ -429,8 +414,7 @@ def small_codes(draw):
     n = draw(st.integers(1, 12))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
     return draw(st.sampled_from([
-        LinearCode.from_rows([BitWord(n, m) for m in masks]) if any(masks)
-        else LinearCode(n, ()),
+        LinearCode(n, tuple(masks)),
         LinearCode(n, ()),
         LinearCode(n, tuple(1 << i for i in range(n))),
     ]))
@@ -463,17 +447,23 @@ class TestEnumeratorAgainstMessageOrder:
     @given(small_codes())
     def test_walk_visits_every_codeword_once(self, code):
         words = list(gf2.enumerate_codewords(code))
-        assert words[0] == BitWord(code.length, 0)
+        assert words[0] == 0
         assert len(words) == len(set(words)) == 1 << code.dimension
         assert all(code.contains(w) for w in words)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_codes())
+    def test_walk_is_the_gray_code_order(self, code):
+        words = list(gf2.enumerate_codewords(code))
+        assert all(type(w) is int for w in words)
+        assert words == [message_word(code, i ^ (i >> 1)) for i in range(1 << code.dimension)]
 
     def test_cap_bounds_the_dimension_walked(self, monkeypatch):
         monkeypatch.setattr(gf2, "ENUMERATION_CAP", 4)
         # full space [8, 8]: its dual is the zero code, so nothing near 2^4 is walked
         assert gf2.weight_distribution(LinearCode(8, tuple(1 << i for i in range(8)))) == {
             w: comb(8, w) for w in range(9)}
-        half_rate = LinearCode.from_rows(
-            [BitWord(16, 1 << i | 1 << (i + 8)) for i in range(8)])
+        half_rate = LinearCode(16, tuple(1 << i | 1 << (i + 8) for i in range(8)))
         assert half_rate.dimension == 8
         with pytest.raises(gf2.EnumerationCapError):
             gf2.weight_distribution(half_rate)

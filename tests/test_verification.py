@@ -1,3 +1,5 @@
+import types
+
 import evensets
 from evensets import verification
 from evensets.certificates import GAP_TABLE, derive_gaps
@@ -51,15 +53,21 @@ class TestReports:
 
 def test_package_exports():
     assert sorted(evensets.__all__) == [
-        "BitWord", "GapReport", "LinearCode", "NodalSurface", "ProofCertificate",
-        "Step", "b2_resolution", "cayley_code", "certificates", "chi",
+        "GapReport", "LinearCode", "NodalSurface", "ProofCertificate",
+        "Step", "b2_resolution", "cayley_code", "chi",
         "classify_parity", "derive_gaps", "dim_lower_bound", "dual_code",
-        "e_bar_min", "e_min", "enumerate_codewords", "formulas", "gf2",
+        "e_bar_min", "e_min", "enumerate_codewords",
         "griesmer_max_dim", "griesmer_min_length", "is_self_orthogonal",
         "kummer_code", "minimum_distance", "parse_generator_matrix",
         "project_onto_support", "serre_dual_twist", "sextic_dim_certificate",
-        "strict_weight_modulus", "surfaces", "togliatti_code",
+        "strict_weight_modulus", "togliatti_code",
         "verify_concluding_table", "verify_corollary_gaps",
         "verify_example_cohomology_tables", "verify_theorem_main",
         "weak_weight_residue", "weight_distribution",
     ]
+    namespace = {}
+    exec("from evensets import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(evensets.__all__)
+    assert not [name for name, value in namespace.items()
+                if isinstance(value, types.ModuleType)]
