@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from . import formulas, gf2, surfaces
-from .surfaces import STRICT, WEAK
+from .formulas import STRICT, WEAK
 
 SCHEMA_VERSION = "1"
 
@@ -82,11 +82,15 @@ def _encode(value: Any) -> Any:
     return value
 
 
-def _admissible_weights(s: int, parity: str, lower: int, upper: int) -> list[int]:
+def _weight_rule(s: int, parity: str) -> tuple[int, int]:
+    """(modulus, residue): nonzero weights of this parity are residue mod modulus."""
     if parity == STRICT:
-        modulus, residue = surfaces.strict_weight_modulus(s), 0
-    else:
-        modulus, residue = 4, surfaces.weak_weight_residue(s)
+        return surfaces.strict_weight_modulus(s), 0
+    return 4, surfaces.weak_weight_residue(s)
+
+
+def _admissible_weights(s: int, parity: str, lower: int, upper: int) -> list[int]:
+    modulus, residue = _weight_rule(s, parity)
     return [w for w in range(lower, upper + 1) if w % modulus == residue]
 
 
@@ -195,29 +199,18 @@ _H2_HYPOTHESES = {
 
 def derive_gaps(s: int, parity: str) -> ProofCertificate:
     """Replay the minimal-weight argument for one (degree, parity) pair."""
-    formulas._require_degree(s)
-    if parity not in surfaces.PARITIES:
-        raise ValueError(f"parity must be one of {surfaces.PARITIES}, got {parity!r}")
-    if parity == WEAK:
-        formulas._require_even_degree(s)
-        if s == 2:
-            return _weak_degree_two_certificate()
-    else:
-        formulas._require_strict_degree(s)
-    case = _CASES.get((s, parity))
-    if case is None:
-        raise formulas.UnprovenDegreeError(
-            s, formulas.PROVEN_STRICT_DEGREES if parity == STRICT
-            else formulas.PROVEN_WEAK_DEGREES)
+    formulas._require_proven(s, parity)
+    if (s, parity) == (2, WEAK):
+        return _weak_degree_two_certificate()
+    case = _CASES[(s, parity)]
 
     steps: list[Step] = []
+    modulus, residue = _weight_rule(s, parity)
     if parity == STRICT:
-        modulus, residue = surfaces.strict_weight_modulus(s), 0
         min_weight = formulas.quadric_contact_weight(s)
         upper = formulas.smooth_quartic_weight(s)
         conclusion_rule = "quadric-conclusion"
     else:
-        modulus, residue = 4, surfaces.weak_weight_residue(s)
         min_weight = formulas.plane_contact_weight(s)
         upper = formulas.smooth_cubic_weight(s)
         conclusion_rule = "plane-conclusion"

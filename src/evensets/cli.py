@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import certificates, formulas, gf2, surfaces, verification
-from .surfaces import STRICT, WEAK
+from .formulas import STRICT, WEAK
 
 
 def _load_code(path: str) -> gf2.LinearCode:
@@ -114,7 +114,7 @@ def cmd_surface_bounds(args) -> tuple[str, dict[str, Any]]:
 
 
 def cmd_verify_paper(args) -> tuple[str, dict[str, Any]]:
-    data_dir = Path(args.data_dir) if args.data_dir else None
+    data_dir = Path(args.data_dir) if args.data_dir is not None else None
     sweep = verification.run_full_verification(data_dir)
     return "pass" if sweep["pass"] else "fail", sweep
 
@@ -149,7 +149,7 @@ def _emit(report: dict[str, Any], args) -> int:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         text = _render_text(report)
-    if args.output:
+    if args.output is not None:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gaps = sub.add_parser("gaps", parents=[common], help="gap certificate for one degree")
     gaps.add_argument("--degree", type=int, required=True)
-    gaps.add_argument("--parity", choices=(STRICT, WEAK), required=True)
+    gaps.add_argument("--parity", choices=formulas.PARITIES, required=True)
 
     surface = sub.add_parser("surface", help="surface constraints")
     surface_sub = surface.add_subparsers(dest="subcommand", required=True)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# Degrees for which the minimal-weight closed forms are established.
-PROVEN_STRICT_DEGREES = (3, 4, 5, 6, 7, 8, 10)
-PROVEN_WEAK_DEGREES = (2, 4, 6, 8)
+STRICT, WEAK = "strict", "weak"
+PARITIES = (STRICT, WEAK)
+# Degrees, by parity, for which the minimal-weight closed forms are established.
+PROVEN_DEGREES = {STRICT: (3, 4, 5, 6, 7, 8, 10), WEAK: (2, 4, 6, 8)}
 
 
 class UnprovenDegreeError(ValueError):
@@ -38,17 +39,24 @@ def _require_degree(s: int) -> None:
         raise ValueError(f"surface degree must be at least 1, got {s}")
 
 
-def _require_even_degree(s: int) -> None:
-    if s % 2:
+def _require_parity(s: int, parity: str) -> None:
+    if parity not in PARITIES:
+        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
+    if parity == WEAK and s % 2:
         raise WeakParityError(f"degree {s} is odd; weakly even sets need even degree")
 
 
-def _require_strict_degree(s: int) -> None:
+def _require_proven(s: int, parity: str) -> None:
+    """Preconditions of a minimal weight: a valid pair with a proven value."""
+    _require_degree(s)
+    _require_parity(s, parity)
     # A strictly even set has weight divisible by 4, and a surface of degree
     # at most 2 has at most 1 node.
-    if s <= 2:
+    if parity == STRICT and s <= 2:
         raise ValueError(f"no nonzero strictly even set exists in degree {s}; "
                          f"a degree-{s} surface has at most 1 node")
+    if s not in PROVEN_DEGREES[parity]:
+        raise UnprovenDegreeError(s, PROVEN_DEGREES[parity])
 
 
 def chi(s: int, v: int, weight: int) -> Fraction:
@@ -120,21 +128,15 @@ def e_min(s: int) -> int:
     """Minimal weight of a nonzero strictly even set in degree s.
 
     s(s-2) for even s, (s-1)^2 for odd s; established only for the degrees
-    in PROVEN_STRICT_DEGREES.
+    in PROVEN_DEGREES[STRICT].
     """
-    _require_degree(s)
-    _require_strict_degree(s)
-    if s not in PROVEN_STRICT_DEGREES:
-        raise UnprovenDegreeError(s, PROVEN_STRICT_DEGREES)
+    _require_proven(s, STRICT)
     return quadric_contact_weight(s)
 
 
 def e_bar_min(s: int) -> int:
     """Minimal weight of a nonzero weakly even set in degree s: s(s-1)/2."""
-    _require_degree(s)
-    _require_even_degree(s)
-    if s not in PROVEN_WEAK_DEGREES:
-        raise UnprovenDegreeError(s, PROVEN_WEAK_DEGREES)
+    _require_proven(s, WEAK)
     return plane_contact_weight(s)
 
 

@@ -14,11 +14,8 @@ import math
 from dataclasses import dataclass
 
 from . import formulas
+from .formulas import WEAK
 from .gf2 import LinearCode
-
-STRICT = "strict"
-WEAK = "weak"
-PARITIES = (STRICT, WEAK)
 
 # Maximal node counts by degree; known exactly only up to degree 6.
 _MAX_NODES = {1: 0, 2: 1, 3: 4, 4: 16, 5: 31, 6: 65}
@@ -63,10 +60,7 @@ def dim_lower_bound(surface: NodalSurface, parity: str) -> int:
     strict: ceil(mu - b2/2); weak (the full code including weakly even
     sets): ceil(mu + 1 - b2/2).  Clamped at 0.
     """
-    if parity not in PARITIES:
-        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
-    if parity == WEAK:
-        formulas._require_even_degree(surface.degree)
+    formulas._require_parity(surface.degree, parity)
     b2 = b2_resolution(surface.degree)
     bonus = 1 if parity == WEAK else 0
     # ceil(mu + bonus - b2/2) done in integers: ceil(-b2/2) = -(b2 // 2).
@@ -84,7 +78,7 @@ def weak_weight_residue(s: int) -> int:
     Derived from integrality of chi at twist 1, not hard-coded: chi(s,1,w)
     is an integer exactly when w/4 cancels its fractional part.
     """
-    formulas._require_even_degree(s)
+    formulas._require_parity(s, WEAK)
     base = formulas.chi(s, 1, 0)
     residue = 4 * (base - math.floor(base))
     assert residue.denominator == 1

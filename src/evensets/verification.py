@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import certificates, formulas, gf2, surfaces
-from .surfaces import STRICT, WEAK
+from .formulas import STRICT
 
 # chi closed forms at fixed (degree, twist): chi = (a - weight) / 4.
 # Twists paired by duality share a line.
@@ -67,9 +67,11 @@ QUARTIC_COHOMOLOGY_TABLE = (
 )
 
 
-def _check(name: str, expected: Any, actual: Any) -> dict[str, Any]:
+def _check(name: str, expected: Any, actual: Any,
+           passed: Optional[bool] = None) -> dict[str, Any]:
+    """One check; it passes when expected == actual unless a verdict is given."""
     return {"name": name, "expected": expected, "actual": actual,
-            "pass": expected == actual}
+            "pass": expected == actual if passed is None else passed}
 
 
 def _report(name: str, checks: list[dict[str, Any]]) -> dict[str, Any]:
@@ -81,8 +83,8 @@ def _report(name: str, checks: list[dict[str, Any]]) -> dict[str, Any]:
 
 
 def _proven_pairs() -> list[tuple[int, str]]:
-    return ([(s, STRICT) for s in formulas.PROVEN_STRICT_DEGREES]
-            + [(s, WEAK) for s in formulas.PROVEN_WEAK_DEGREES])
+    return [(s, parity) for parity, degrees in formulas.PROVEN_DEGREES.items()
+            for s in degrees]
 
 
 def verify_theorem_main() -> dict[str, Any]:
@@ -91,12 +93,9 @@ def verify_theorem_main() -> dict[str, Any]:
     for s, parity in _proven_pairs():
         cert = certificates.derive_gaps(s, parity)
         expected = formulas.e_min(s) if parity == STRICT else formulas.e_bar_min(s)
-        checks.append({
-            "name": f"min-weight degree {s} {parity}",
-            "expected": expected,
-            "actual": cert.conclusion.min_weight,
-            "pass": cert.conclusion.min_weight == expected and cert.validate(),
-        })
+        actual = cert.conclusion.min_weight
+        checks.append(_check(f"min-weight degree {s} {parity}", expected, actual,
+                             actual == expected and cert.validate()))
     return _report("theorem-main", checks)
 
 
@@ -116,12 +115,9 @@ def verify_concluding_table() -> dict[str, Any]:
     checks = []
     for s, weights in sorted(KNOWN_STRICT_WEIGHTS.items()):
         modulus = surfaces.strict_weight_modulus(s)
-        checks.append({
-            "name": f"degree {s} divisibility",
-            "expected": f"all weights divisible by {modulus}",
-            "actual": list(weights),
-            "pass": all(w % modulus == 0 for w in weights),
-        })
+        checks.append(_check(f"degree {s} divisibility",
+                             f"all weights divisible by {modulus}", list(weights),
+                             all(w % modulus == 0 for w in weights)))
         checks.append(_check(f"degree {s} minimum", formulas.e_min(s), min(weights)))
         gap = certificates.derive_gaps(s, STRICT).conclusion.excluded_weights
         checks.append(_check(f"degree {s} gap avoidance", [],

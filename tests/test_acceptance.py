@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import evensets
 from evensets import certificates, cli, formulas, gf2, surfaces
-from evensets.surfaces import STRICT, WEAK
+from evensets.formulas import STRICT, WEAK
 from evensets.verification import CHI_CLOSED_FORMS
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from evensets import certificates, formulas, verification
+from evensets import certificates, formulas, surfaces, verification
 from evensets.certificates import (
     CHECKERS,
     Step,
@@ -10,7 +10,7 @@ from evensets.certificates import (
     derive_gaps,
     sextic_dim_certificate,
 )
-from evensets.surfaces import STRICT, WEAK
+from evensets.formulas import STRICT, WEAK
 
 
 class TestDeriveGaps:
@@ -33,9 +33,9 @@ class TestDeriveGaps:
         assert cert.conclusion.excluded_weights == excluded
 
     def test_all_certificates_validate(self):
-        for s in formulas.PROVEN_STRICT_DEGREES:
+        for s in formulas.PROVEN_DEGREES[STRICT]:
             assert derive_gaps(s, STRICT).validate()
-        for s in formulas.PROVEN_WEAK_DEGREES:
+        for s in formulas.PROVEN_DEGREES[WEAK]:
             assert derive_gaps(s, WEAK).validate()
 
     def test_unproven_pair_rejected(self):
@@ -51,10 +51,13 @@ class TestDeriveGaps:
         assert not isinstance(exc.value, formulas.UnprovenDegreeError)
 
     def test_unknown_parity_rejected(self):
-        with pytest.raises(ValueError) as exc:
-            derive_gaps(4, "bogus")
-        assert str(exc.value) == \
-            "parity must be one of ('strict', 'weak'), got 'bogus'"
+        # One message, from the gap certificates and the dimension bound alike.
+        for call in (lambda: derive_gaps(4, "bogus"),
+                     lambda: surfaces.dim_lower_bound(surfaces.NodalSurface(4, 16), "bogus")):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == \
+                "parity must be one of ('strict', 'weak'), got 'bogus'"
 
     @pytest.mark.parametrize("s", [3, 5, 9])
     def test_weak_parity_on_odd_degree_is_impossible(self, s):
@@ -70,6 +73,19 @@ class TestDeriveGaps:
         assert str(exc.value) == (
             f"no nonzero strictly even set exists in degree {s}; "
             f"a degree-{s} surface has at most 1 node")
+
+    @pytest.mark.parametrize("parity, closed_form", [(STRICT, formulas.e_min),
+                                                     (WEAK, formulas.e_bar_min)])
+    @pytest.mark.parametrize("s", range(-2, 14))
+    def test_preconditions_agree_with_the_closed_forms(self, s, parity, closed_form):
+        outcomes = []
+        for call in (lambda: derive_gaps(s, parity).conclusion.min_weight,
+                     lambda: closed_form(s)):
+            try:
+                outcomes.append(("value", call()))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_deterministic_serialization(self):
         a = json.dumps(derive_gaps(8, STRICT).to_dict())

@@ -413,6 +413,14 @@ class TestVerifyPaper:
         assert failing == [f"{label} data file round trip"]
 
 
+    def test_empty_data_dir_is_not_ignored(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, ["verify", "paper", "--data-dir", ""])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestOutputHandling:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -431,6 +439,12 @@ class TestOutputHandling:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert not target.exists()
+
+    def test_empty_output_is_not_ignored(self, capsys):
+        code, out, err = run_cli(capsys, ["--output", "", "emin", "--degree", "4"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_text_and_json_agree_numerically(self, capsys):
         argv = ["surface", "bounds", "--degree", "4", "--nodes", "16"]
@@ -544,6 +558,20 @@ def matrix_files(draw):
     n = draw(st.integers(1, 24))
     rows = draw(st.lists(st.text("01", min_size=n, max_size=n), min_size=1, max_size=12))
     return ("\n".join(rows) + "\n").encode()
+
+
+def test_commands_are_the_parser_grammar():
+    # An option added to the parser but not to COMMANDS would never be fuzzed.
+    grammar = {}
+    for path, parser in leaf_parsers(cli.build_parser()):
+        options = []
+        for action in parser._actions:
+            if not action.option_strings:
+                options.append({"file": MATRIX}.get(action.dest, action.dest))
+            options += [o for o in action.option_strings
+                        if o not in ("-h", "--help", "--json", "--output")]
+        grammar[path] = tuple(options)
+    assert grammar == COMMANDS
 
 
 class TestFuzz:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evensets import formulas
-from evensets.formulas import chi, serre_dual_twist
+from evensets.formulas import STRICT, WEAK, chi, serre_dual_twist
 
 
 class TestChi:
@@ -144,14 +144,14 @@ class TestMinimalWeights:
         assert formulas.e_min(10) == 80
 
     def test_e_min_matches_quadric(self):
-        for s in formulas.PROVEN_STRICT_DEGREES:
+        for s in formulas.PROVEN_DEGREES[STRICT]:
             assert formulas.e_min(s) == formulas.quadric_contact_weight(s)
 
     def test_e_bar_min(self):
         assert formulas.e_bar_min(2) == 1
         assert formulas.e_bar_min(4) == 6
         assert formulas.e_bar_min(8) == 28
-        for s in formulas.PROVEN_WEAK_DEGREES:
+        for s in formulas.PROVEN_DEGREES[WEAK]:
             assert formulas.e_bar_min(s) == formulas.plane_contact_weight(s)
 
     def test_unproven_degrees_rejected(self):

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from evensets import cli, formulas, gf2, surfaces
-from evensets.surfaces import STRICT, WEAK, NodalSurface
+from evensets.formulas import STRICT, WEAK
+from evensets.surfaces import NodalSurface
 
 
 class TestMaxNodes:
