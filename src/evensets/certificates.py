@@ -64,7 +64,8 @@ def _encode(value: Any) -> Any:
     Fractions become an int when integral, else "p/q"; a LinearCode becomes
     its length and basis bit strings; other dataclasses go through their
     field dicts; dicts are sorted by their original keys, which become
-    strings, so numeric keys keep numeric order.
+    strings, so numeric keys keep numeric order.  Any other type raises
+    TypeError rather than reaching json.dumps unchecked.
     """
     if isinstance(value, (int, str)):
         return value
@@ -79,7 +80,7 @@ def _encode(value: Any) -> Any:
                 "rows": [gf2.bit_string(value.length, m) for m in value.rows]}
     if is_dataclass(value):
         return _encode(vars(value))
-    return value
+    raise TypeError(f"no JSON form for type {type(value).__name__}")
 
 
 def _weight_rule(s: int, parity: str) -> tuple[int, int]:

@@ -78,6 +78,7 @@ def weak_weight_residue(s: int) -> int:
     Derived from integrality of chi at twist 1, not hard-coded: chi(s,1,w)
     is an integer exactly when w/4 cancels its fractional part.
     """
+    formulas._require_degree(s)
     formulas._require_parity(s, WEAK)
     base = formulas.chi(s, 1, 0)
     residue = 4 * (base - math.floor(base))

@@ -98,6 +98,11 @@ class TestDeriveGaps:
         assert {"rule", "inputs", "asserted_output", "note"} <= set(doc["steps"][0])
         assert doc["conclusion"]["excluded_weights"] == [40]
 
+    def test_encoder_rejects_an_unknown_type(self):
+        with pytest.raises(TypeError) as exc:
+            certificates._encode({"steps": [object()]})
+        assert str(exc.value) == "no JSON form for type object"
+
     def test_threshold_exceeds_minimum(self):
         for s in (7, 8, 10):
             cert = derive_gaps(s, STRICT)

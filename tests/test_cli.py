@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evensets import cli
+from evensets import cli, gf2
 
 
 def run_cli(capsys, argv):
@@ -74,6 +74,10 @@ PINNED = [
     (["--json", "surface", "bounds", "--degree", "6", "--nodes", "65"],
      "22198dbcb91e99228e8fbf74302969e99900933e64f1110d4250f45ef1487620"),
 ]
+
+
+# sha256 of `--json code analyze reed_muller_2_6.txt`, run from tests/data.
+REED_MULLER_DIGEST = "358372908601afe22680e12070d1107ffd330d3cbd72336ff966f51a0f655068"
 
 
 @pytest.mark.parametrize("argv, digest", PINNED)
@@ -177,6 +181,30 @@ class TestCodeAnalyze:
         empty.write_text("# only comments\n\n")
         code, out, err = run_cli(capsys, ["code", "analyze", str(empty)])
         assert (code, out, err) == (2, "", "error: no data rows found\n")
+
+    def test_over_the_cap_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(gf2, "ENUMERATION_CAP", 11)
+        matrix = tmp_path / "twelve.txt"
+        matrix.write_text("".join(gf2.bit_string(24, 1 << i | 1 << (i + 12)) + "\n"
+                                  for i in range(12)))
+        code, out, err = run_cli(capsys, ["code", "analyze", str(matrix)])
+        assert (code, out) == (2, "")
+        assert err == "error: refusing to enumerate 2^12 codewords (cap is 2^11)\n"
+
+    def test_reed_muller_2_6(self, capsys, monkeypatch):
+        # RM(2,6) is [64,22,16]; its enumerator is the classical one
+        # (MacWilliams & Sloane, ch. 15), which no walk here computes.
+        monkeypatch.chdir(Path(__file__).parent / "data")
+        code, out, _ = run_cli(capsys, ["--json", "code", "analyze", "reed_muller_2_6.txt"])
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert (payload["n"], payload["k"], payload["minimum_distance"]) == (64, 22, 16)
+        assert payload["parity_class"] == "doubly-even"
+        assert payload["weight_distribution"] == {
+            "0": 1, "16": 2604, "24": 291648, "28": 888832, "32": 1828134,
+            "36": 888832, "40": 291648, "48": 2604, "64": 1}
+        # The same digest is pinned for the console script in CI.
+        assert sha256(out) == REED_MULLER_DIGEST
 
 
 class TestCodeProject:

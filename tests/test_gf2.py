@@ -467,3 +467,81 @@ class TestEnumeratorAgainstMessageOrder:
         assert half_rate.dimension == 8
         with pytest.raises(gf2.EnumerationCapError):
             gf2.weight_distribution(half_rate)
+
+
+def walked_counts(code: LinearCode) -> list[int]:
+    """Weight counts of every codeword, from the Gray walk of the code itself."""
+    counts = [0] * (code.length + 1)
+    for m in gf2.enumerate_codewords(code):
+        counts[m.bit_count()] += 1
+    return counts
+
+
+@st.composite
+def sliced_cases(draw):
+    n = draw(st.integers(1, 70))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=14))
+    return LinearCode(n, tuple(masks)), draw(st.integers(1, 15))
+
+
+@st.composite
+def wide_walk_codes(draw):
+    """[n, k] codes in systematic form whose walked dimension is 11 to 13.
+
+    k <= n - k walks the code itself and k > n - k walks its dual.  Half
+    the draws append a parity column, so every word has even weight.
+    """
+    walked = draw(st.integers(11, 13))
+    even = draw(st.booleans())
+    n = 2 * walked + draw(st.integers(0, 2)) + even
+    k = draw(st.sampled_from([walked, n - walked]))
+    free = n - k - even
+    rows = [1 << i | draw(st.integers(0, (1 << free) - 1)) << k for i in range(k)]
+    if even:
+        rows = [row | (row.bit_count() % 2) << (n - 1) for row in rows]
+    return LinearCode(n, tuple(rows))
+
+
+class TestSlicedCounts:
+    """The bit-sliced count against the Gray walk, which stays the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sliced_cases())
+    def test_matches_the_walk(self, case):
+        code, lane_exponent = case
+        assert gf2._sliced_counts(code.length, code.rows, lane_exponent) == walked_counts(code)
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_walk_codes())
+    def test_analytics_match_the_walk(self, code):
+        n, k = code.length, code.dimension
+        assert min(k, n - k) >= gf2._SLICED_FROM
+        counts = walked_counts(code)
+        weights = [w for w, c in enumerate(counts) if c]
+        assert gf2.weight_distribution(code) == {w: counts[w] for w in weights}
+        assert gf2.minimum_distance(code) == weights[1]
+        assert gf2.classify_parity(code) == (
+            "not-even" if any(w % 2 for w in weights)
+            else "even" if any(w % 4 for w in weights) else "doubly-even")
+
+    def test_cap_bounds_the_sliced_dimension(self, monkeypatch):
+        monkeypatch.setattr(gf2, "ENUMERATION_CAP", 11)
+        eleven = LinearCode(22, tuple(1 << i | 1 << (i + 11) for i in range(11)))
+        assert gf2.weight_distribution(eleven) == {2 * w: comb(11, w) for w in range(12)}
+        twelve = LinearCode(24, tuple(1 << i | 1 << (i + 12) for i in range(12)))
+        with pytest.raises(gf2.EnumerationCapError) as exc:
+            gf2.weight_distribution(twelve)
+        assert str(exc.value) == "refusing to enumerate 2^12 codewords (cap is 2^11)"
+
+    def test_walked_dimension_picks_the_path(self, monkeypatch):
+        walks = []
+        walk = gf2.enumerate_codewords
+        monkeypatch.setattr(gf2, "enumerate_codewords",
+                            lambda code: walks.append(code.dimension) or walk(code))
+        # [20, 10] walks the code, [22, 11] slices it, and [24, 13] slices
+        # its 11-dimensional dual.
+        for n, k in ((20, 10), (22, 11), (24, 13)):
+            code = LinearCode(n, tuple(1 << i | 1 << (k + i % (n - k)) for i in range(k)))
+            assert code.dimension == k
+            gf2.weight_distribution(code)
+        assert walks == [10]

@@ -100,6 +100,17 @@ class TestWeightRules:
             surfaces.weak_weight_residue(5)
         assert str(exc.value) == "degree 5 is odd; weakly even sets need even degree"
 
+    @pytest.mark.parametrize("s, error, message", [
+        (-2, ValueError, "surface degree must be at least 1, got -2"),
+        (-1, ValueError, "surface degree must be at least 1, got -1"),
+        (0, ValueError, "surface degree must be at least 1, got 0"),
+        (1, formulas.WeakParityError, "degree 1 is odd; weakly even sets need even degree"),
+    ])
+    def test_weak_residue_checks_the_degree_before_the_parity(self, s, error, message):
+        with pytest.raises(ValueError) as exc:
+            surfaces.weak_weight_residue(s)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
 
 class TestProfile:
     @staticmethod
