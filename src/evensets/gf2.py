@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from math import comb
 
 # Largest dimension an exhaustive count may cover, read by enumerate_codewords
 # and _sliced_counts at each call.  Weight statistics count the smaller of a
@@ -155,9 +154,24 @@ def enumerate_codewords(code: LinearCode) -> Iterator[int]:
         yield mask
 
 
-def _krawtchouk(n: int, j: int, i: int) -> int:
-    """Coefficient of z^j in (1 - z)^i (1 + z)^(n - i)."""
-    return sum((-1) ** h * comb(i, h) * comb(n - i, j - h) for h in range(min(i, j) + 1))
+def _krawtchouk_row(n: int, i: int) -> list[int]:
+    """[K_0(i), ..., K_n(i)], the coefficients of (1 - z)^i (1 + z)^(n - i).
+
+    (j + 1) K_{j+1} = (n - 2i) K_j - (n - j + 1) K_{j-1}, exact in integers.
+    """
+    row = [1, n - 2 * i][:n + 1]
+    for j in range(1, n):
+        row.append(((n - 2 * i) * row[j] - (n - j + 1) * row[j - 1]) // (j + 1))
+    return row
+
+
+def _macwilliams(n: int, dual_dimension: int, counts: Sequence[int]) -> list[int]:
+    """A code's weight counts A_j from the counts B_i of its dual.
+
+    A_j = 2^-dual_dimension * sum_i B_i K_j(i) (MacWilliams & Sloane, ch. 5).
+    """
+    terms = [[b * kj for kj in _krawtchouk_row(n, i)] for i, b in enumerate(counts) if b]
+    return [sum(column) >> dual_dimension for column in zip(*terms)]
 
 
 def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> list[int]:
@@ -168,10 +182,12 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
     x selects low row r, and column j is one 2^b-bit int, its truth table
     over the lanes.  A Gray walk over the k - b high rows complements the
     tables of the columns the added high row covers.  Each step adds the n
-    tables into bit-plane counters (after the bit-sliced counters of Muła,
-    Kurz & Lemire, Comput. J. 61, 2018), so lane x of plane p is bit p of
-    its word's weight, and the lanes of each weight are found by descending
-    the planes.
+    tables by a carry-save reduction (Harley-Seal, as in Muła, Kurz &
+    Lemire, Comput. J. 61, 2018): a full adder turns three bits of a level
+    into a sum bit there and a carry bit at the next level, a leftover pair
+    takes a zero third bit, and each level ends as one plane.  Lane x of
+    plane p is bit p of its word's weight, and the lanes of each weight are
+    found by descending the planes.
     """
     k = len(rows)
     if k > ENUMERATION_CAP:
@@ -191,22 +207,26 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
             width <<= 1
         for j in covered[r]:
             tables[j] ^= pattern
-    depth = n.bit_length()
     counts = [0] * (n + 1)
     for i in range(1 << (k - b)):
         if i:
             for j in covered[b + (i & -i).bit_length() - 1]:
                 tables[j] ^= full
-        planes = [0] * depth
-        for carry in tables:
-            p = 0
-            while carry:
-                planes[p], carry = planes[p] ^ carry, planes[p] & carry
-                p += 1
+        planes, bits = [], list(tables)
+        while bits:
+            carries = []
+            while len(bits) > 1:
+                x, y = bits.pop(), bits.pop()
+                z = bits.pop() if bits else 0
+                u = x ^ y
+                bits.append(u ^ z)
+                carries.append(x & y | u & z)
+            planes.append(bits[0])
+            bits = carries
         # (lanes, weight so far) for each nonempty set of lanes that agree
         # on the planes above p.
         level = [(full, 0)]
-        for p in reversed(range(depth)):
+        for p in reversed(range(len(planes))):
             plane = planes[p]
             if not plane:
                 continue
@@ -228,11 +248,9 @@ def _weight_counts(code: LinearCode) -> list[int]:
     """counts[w] = number of codewords of weight w, for w in 0..n.
 
     When n - k < k the dual code is smaller, so it is counted instead and
-    its counts B_i are mapped back by the MacWilliams identity
-    A_j = 2^-(n-k) * sum_i B_i K_j(i), which is exact in integers.  A
-    dimension below _SLICED_FROM is walked word by word through
-    enumerate_codewords; a larger one is bit-sliced.  The cap applies to
-    the dimension counted.
+    its counts are mapped back by _macwilliams.  A dimension below
+    _SLICED_FROM is walked word by word through enumerate_codewords; a
+    larger one is bit-sliced.  The cap applies to the dimension counted.
     """
     n, k = code.length, code.dimension
     walked = dual_code(code) if n - k < k else code
@@ -242,11 +260,7 @@ def _weight_counts(code: LinearCode) -> list[int]:
         counts = [0] * (n + 1)
         for m in enumerate_codewords(walked):
             counts[m.bit_count()] += 1
-    if walked is code:
-        return counts
-    weights = [(i, b) for i, b in enumerate(counts) if b]
-    return [sum(b * _krawtchouk(n, j, i) for i, b in weights) >> (n - k)
-            for j in range(n + 1)]
+    return counts if walked is code else _macwilliams(n, n - k, counts)
 
 
 def weight_distribution(code: LinearCode) -> dict[int, int]:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,13 @@ PINNED = [
 
 # sha256 of `--json code analyze reed_muller_2_6.txt`, run from tests/data.
 REED_MULLER_DIGEST = "358372908601afe22680e12070d1107ffd330d3cbd72336ff966f51a0f655068"
+# The same for reed_muller_3_6.txt, first recorded with a ripple-carry plane
+# adder and per-value Krawtchouk sums, so it pins that the faster kernels
+# print the same report.
+REED_MULLER_3_6_DIGEST = "254d3d78d55efca45e1ebfacbfe0d2e56c865bc30d34286a66a4ff1bbd06a65c"
+# Weight enumerator of RM(2,6) (MacWilliams & Sloane, ch. 15).
+REED_MULLER_2_6_WEIGHTS = {0: 1, 16: 2604, 24: 291648, 28: 888832, 32: 1828134,
+                           36: 888832, 40: 291648, 48: 2604, 64: 1}
 
 
 @pytest.mark.parametrize("argv, digest", PINNED)
@@ -201,10 +209,32 @@ class TestCodeAnalyze:
         assert (payload["n"], payload["k"], payload["minimum_distance"]) == (64, 22, 16)
         assert payload["parity_class"] == "doubly-even"
         assert payload["weight_distribution"] == {
-            "0": 1, "16": 2604, "24": 291648, "28": 888832, "32": 1828134,
-            "36": 888832, "40": 291648, "48": 2604, "64": 1}
+            str(w): a for w, a in REED_MULLER_2_6_WEIGHTS.items()}
         # The same digest is pinned for the console script in CI.
         assert sha256(out) == REED_MULLER_DIGEST
+
+    def test_reed_muller_3_6(self, capsys, monkeypatch):
+        # RM(3,6) is [64,42,8], the dual of RM(2,6), so its enumerator is
+        # the MacWilliams transform of RM(2,6)'s.  The count walks the
+        # 22-dimensional dual bit-sliced and maps it back at n = 64.
+        monkeypatch.chdir(Path(__file__).parent / "data")
+        code, out, _ = run_cli(capsys, ["--json", "code", "analyze", "reed_muller_3_6.txt"])
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert (payload["n"], payload["k"], payload["dual_dimension"]) == (64, 42, 22)
+        assert (payload["minimum_distance"], payload["parity_class"]) == (8, "even")
+        n = 64
+        transform = {}
+        for j in range(n + 1):
+            total = sum(b * sum((-1) ** h * comb(i, h) * comb(n - i, j - h)
+                                for h in range(min(i, j) + 1))
+                        for i, b in REED_MULLER_2_6_WEIGHTS.items())
+            assert total % (1 << 22) == 0
+            if total:
+                transform[str(j)] = total >> 22
+        assert payload["weight_distribution"] == transform
+        # The same digest is pinned for the console script in CI.
+        assert sha256(out) == REED_MULLER_3_6_DIGEST
 
 
 class TestCodeProject:

@@ -485,6 +485,14 @@ def sliced_cases(draw):
 
 
 @st.composite
+def deep_cases(draw):
+    """Codes of length 128 to 200, so their weights take 8 bit planes."""
+    n = draw(st.integers(128, 200))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    return LinearCode(n, tuple(masks)), draw(st.integers(1, 12))
+
+
+@st.composite
 def wide_walk_codes(draw):
     """[n, k] codes in systematic form whose walked dimension is 11 to 13.
 
@@ -524,6 +532,22 @@ class TestSlicedCounts:
             "not-even" if any(w % 2 for w in weights)
             else "even" if any(w % 4 for w in weights) else "doubly-even")
 
+    @settings(max_examples=40, deadline=None)
+    @given(deep_cases())
+    def test_eight_planes_match_the_walk(self, case):
+        code, lane_exponent = case
+        assert gf2._sliced_counts(code.length, code.rows, lane_exponent) == walked_counts(code)
+
+    @pytest.mark.parametrize("n", [(1 << d) - e for d in range(5, 9) for e in (1, 0)])
+    def test_repetition_code_carries_into_the_top_plane(self, n):
+        # Every column is equal, so every word weighs 0 or n, and the
+        # weight-n lane carries through every level of the adder.
+        code = LinearCode(n, ((1 << n) - 1,))
+        expected = [1] + [0] * (n - 1) + [1]
+        assert walked_counts(code) == expected
+        for lane_exponent in (1, 15):
+            assert gf2._sliced_counts(n, code.rows, lane_exponent) == expected
+
     def test_cap_bounds_the_sliced_dimension(self, monkeypatch):
         monkeypatch.setattr(gf2, "ENUMERATION_CAP", 11)
         eleven = LinearCode(22, tuple(1 << i | 1 << (i + 11) for i in range(11)))
@@ -545,3 +569,39 @@ class TestSlicedCounts:
             assert code.dimension == k
             gf2.weight_distribution(code)
         assert walks == [10]
+
+
+def polynomial_product(p: list[int], q: list[int]) -> list[int]:
+    product = [0] * (len(p) + len(q) - 1)
+    for a, x in enumerate(p):
+        for b, y in enumerate(q):
+            product[a + b] += x * y
+    return product
+
+
+@st.composite
+def dual_walks(draw):
+    """A walked dual: length up to 70, dimension at most 10."""
+    n = draw(st.integers(1, 70))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+    return LinearCode(n, tuple(masks))
+
+
+class TestMacWilliams:
+    def test_krawtchouk_rows_are_the_polynomial_coefficients(self):
+        minus, plus = [[1]], [[1]]
+        for _ in range(70):
+            minus.append(polynomial_product(minus[-1], [1, -1]))
+            plus.append(polynomial_product(plus[-1], [1, 1]))
+        for n in range(71):
+            for i in range(n + 1):
+                assert gf2._krawtchouk_row(n, i) == polynomial_product(minus[i], plus[n - i])
+
+    @settings(max_examples=100, deadline=None)
+    @given(dual_walks())
+    def test_transform_is_an_involution(self, dual):
+        n, k = dual.length, dual.dimension
+        counts = walked_counts(dual)
+        code_counts = gf2._macwilliams(n, k, counts)
+        assert sum(code_counts) == 1 << (n - k)
+        assert gf2._macwilliams(n, n - k, code_counts) == counts
