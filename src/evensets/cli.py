@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Optional
 
@@ -144,9 +145,45 @@ def _render_text(report: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append json.dumps(value, sort_keys=True, indent=2)'s text to out.
+
+    json's C encoder runs only when indent is None.  A report holds str, None,
+    bool, int, and lists, tuples and str-keyed dicts of them; anything else,
+    floats included, is a TypeError.  newline is "\n" and the current indent.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            # encode_basestring_ascii raises TypeError for a non-str key.
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}" if value else "{}")
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"no JSON form for type {type(value).__name__}")
+
+
 def _emit(report: dict[str, Any], args) -> int:
     if args.json:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        out: list[str] = []
+        _write_json(report, "\n", out)
+        text = "".join(out) + "\n"
     else:
         text = _render_text(report)
     if args.output is not None:

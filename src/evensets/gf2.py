@@ -67,25 +67,24 @@ def bit_string(length: int, mask: int) -> str:
     return f"{mask:0{length}b}"[::-1] if length else ""
 
 
-def _rref(length: int, masks: Iterable[int]) -> tuple[int, ...]:
+def _rref(masks: Iterable[int]) -> tuple[int, ...]:
     """Reduced row-echelon rows over GF(2), zero rows dropped.
 
     Each row's pivot is its lowest set bit, pivots increase down the rows,
     and each pivot bit is set in its own row only.
     """
-    rows = [m for m in masks if m]
-    r = 0
-    for col in range(length):
-        bit = 1 << col
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        r += 1
-    return tuple(rows[:r])
+    rows: dict[int, int] = {}  # by pivot bit, fully reduced after each mask
+    for m in masks:
+        for pivot, row in rows.items():
+            if m & pivot:
+                m ^= row
+        if m:
+            low = m & -m
+            for pivot, row in rows.items():
+                if row & low:
+                    rows[pivot] = row ^ m
+            rows[low] = m
+    return tuple(rows[pivot] for pivot in sorted(rows))
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class LinearCode:
                 raise ValueError(f"negative row mask {m}")
             if m >> self.length:
                 raise ValueError(f"row mask {m:#x} does not fit in {self.length} bits")
-        object.__setattr__(self, "rows", _rref(self.length, self.rows))
+        object.__setattr__(self, "rows", _rref(self.rows))
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> LinearCode:
@@ -195,16 +194,18 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
     b = min(k, lane_exponent)
     size = 1 << b
     full = (1 << size) - 1
-    covered = [[j for j in range(n) if row >> j & 1] for row in rows]
+    covered = [[] for _ in rows]
+    for columns, row in zip(covered, rows):
+        while row:
+            j = row.bit_length() - 1
+            columns.append(j)
+            row ^= 1 << j
     tables = [0] * n
-    for r in range(b):
-        # Lane x is 1 where bit r of x is: 2^r zeros, 2^r ones, repeated.
-        width = 1 << r
-        pattern = ((1 << width) - 1) << width
-        width <<= 1
-        while width < size:
-            pattern |= pattern << width
-            width <<= 1
+    pattern = full
+    for r in reversed(range(b)):
+        # Lane x is 1 where bit r of x is: 2^r zeros, 2^r ones, repeated,
+        # made by halving the blocks above, from one block of all 2^b lanes.
+        pattern ^= pattern >> (1 << r)
         for j in covered[r]:
             tables[j] ^= pattern
     counts = [0] * (n + 1)

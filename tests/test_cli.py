@@ -13,7 +13,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evensets import cli, gf2
@@ -528,6 +528,35 @@ class TestOutputHandling:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "n_min: 16" in proc.stdout
+
+
+def written_json(value):
+    out = []
+    cli._write_json(value, "\n", out)
+    return "".join(out)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200) | st.text(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    """The --json writer against json.dumps(sort_keys=True, indent=2)."""
+
+    @settings(max_examples=300)
+    @given(json_values)
+    @example({"\u00e9\x00\n\u2028\U0001f600": [[], {}, (), -1, True, None],
+              "A": {"b": [False, "\x1f\\\""]}})
+    def test_equals_json_dumps(self, value):
+        assert written_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.0, {1: 2}, object()])
+    def test_rejects_what_a_report_never_holds(self, value):
+        with pytest.raises(TypeError):
+            written_json(value)
 
 
 # Loads the CLI in a fresh interpreter, runs the sweep and a code analysis,

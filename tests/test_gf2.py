@@ -1,5 +1,7 @@
 from collections import Counter
+from functools import reduce
 from math import comb
+from operator import xor
 
 import pytest
 from hypothesis import example, given, settings
@@ -393,6 +395,43 @@ class TestProperties:
             return
         image, _ = gf2.project_onto_support(code, bit_string(code.length, w))
         assert all(v % 8 == 0 for v in gf2.weight_distribution(image))
+
+
+def column_scan_rref(length: int, masks: list[int]) -> tuple[int, ...]:
+    """The column-by-column elimination _rref replaced, kept as its oracle."""
+    rows = [m for m in masks if m]
+    r = 0
+    for col in range(length):
+        bit = 1 << col
+        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] & bit:
+                rows[i] ^= rows[r]
+        r += 1
+    return tuple(rows[:r])
+
+
+@st.composite
+def rref_cases(draw):
+    """Up to 40 masks of length n <= 130: zero, fresh, repeated and dependent."""
+    n = draw(st.integers(0, 130))
+    word = st.integers(0, (1 << n) - 1)
+    base = draw(st.lists(word, min_size=1, max_size=12))
+    repeated = st.sampled_from(base)
+    dependent = st.lists(repeated, max_size=6).map(lambda rows: reduce(xor, rows, 0))
+    masks = draw(st.lists(st.just(0) | word | repeated | dependent, max_size=40))
+    return n, masks
+
+
+class TestRowReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(rref_cases())
+    def test_matches_the_column_scan(self, case):
+        n, masks = case
+        assert gf2._rref(masks) == column_scan_rref(n, masks)
 
 
 def message_word(code: LinearCode, message: int) -> int:
