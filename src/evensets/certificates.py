@@ -64,8 +64,9 @@ def _encode(value: Any) -> Any:
     Fractions become an int when integral, else "p/q"; a LinearCode becomes
     its length and basis bit strings; other dataclasses go through their
     field dicts; dicts are sorted by their original keys, which become
-    strings, so numeric keys keep numeric order.  Any other type raises
-    TypeError rather than reaching json.dumps unchecked.
+    strings.  So the text report keeps numeric keys in numeric order, while
+    --json re-sorts every key as a string ("0", "16", "8").  Any other type
+    raises TypeError rather than reaching json.dumps unchecked.
     """
     if isinstance(value, (int, str)):
         return value

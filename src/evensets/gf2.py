@@ -27,6 +27,10 @@ _SLICED_FROM = 11
 # Lanes of 2^15 words: 2^16 counted [65, 16] and [65, 18] codes no faster
 # and added 0.5 MB to the benchmark's peak RSS.
 _LANE_EXPONENT = 15
+# Rows above the lanes whose 2^3 words share one pass over the column
+# tables (see _sliced_counts): 2 rows counted [65, 18] and [65, 20] codes
+# about as fast, and 4 rows counted [65, 20] codes about 10% slower.
+_MID_ROWS = 3
 
 
 class LengthMismatchError(ValueError):
@@ -173,25 +177,57 @@ def _macwilliams(n: int, dual_dimension: int, counts: Sequence[int]) -> list[int
     return [sum(column) >> dual_dimension for column in zip(*terms)]
 
 
+def _carry_save(levels: list[list[int]]) -> list[int]:
+    """Bit planes of the lane-wise sum of the ints in levels[p], each weighing 2^p.
+
+    A carry-save reduction (Harley-Seal, as in Muła, Kurz & Lemire, Comput.
+    J. 61, 2018): a full adder turns three bits of a level into a sum bit
+    there and a carry bit at the next level, a leftover pair takes a zero
+    third bit, and each level ends as one plane.  Every level below the top
+    must be nonempty.  A single level of s ints gives s.bit_length() planes.
+    """
+    planes: list[int] = []
+    carries: list[int] = []
+    while carries or len(planes) < len(levels):
+        p = len(planes)
+        bits = carries + levels[p] if p < len(levels) else carries
+        carries = []
+        while len(bits) > 1:
+            x, y = bits.pop(), bits.pop()
+            z = bits.pop() if bits else 0
+            u = x ^ y
+            bits.append(u ^ z)
+            carries.append(x & y | u & z)
+        planes.append(bits[0])
+    return planes
+
+
 def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> list[int]:
     """counts[w] = number of words of weight w in the span of independent rows.
 
     Bit-sliced (Biham, FSE 1997): the low b = min(k, lane_exponent) rows
     span 2^b words held side by side, lane x holding the word whose bit r of
     x selects low row r, and column j is one 2^b-bit int, its truth table
-    over the lanes.  A Gray walk over the k - b high rows complements the
-    tables of the columns the added high row covers.  Each step adds the n
-    tables by a carry-save reduction (Harley-Seal, as in Muła, Kurz &
-    Lemire, Comput. J. 61, 2018): a full adder turns three bits of a level
-    into a sum bit there and a carry bit at the next level, a leftover pair
-    takes a zero third bit, and each level ends as one plane.  Lane x of
-    plane p is bit p of its word's weight, and the lanes of each weight are
+    over the lanes.  The next m = min(_MID_ROWS, k - b) rows form the mid
+    tier, and a Gray walk over the remaining outer rows complements the
+    tables of the columns the added outer row covers.
+
+    The columns are grouped once by their bits on the mid rows.  Each outer
+    step sums each group's tables once, by _carry_save, into the group's w
+    planes, w = |g|.bit_length().  Each of the 2^m mid words then adds only
+    the group sums: a group whose key meets the mid word in an odd number of
+    rows has every column complemented, so it counts |g| - c where its
+    planes spell c.  It enters with each plane XORed with all ones, which
+    spells 2^w - 1 - c, and the readout's starting weight takes the constant
+    |g| - 2^w + 1 to make up the difference.  Lane x of plane p is bit p of
+    its word's weight less that offset, and the lanes of each weight are
     found by descending the planes.
     """
     k = len(rows)
     if k > ENUMERATION_CAP:
         raise EnumerationCapError(k)
     b = min(k, lane_exponent)
+    m = min(_MID_ROWS, k - b)
     size = 1 << b
     full = (1 << size) - 1
     covered = [[] for _ in rows]
@@ -208,40 +244,56 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
         pattern ^= pattern >> (1 << r)
         for j in covered[r]:
             tables[j] ^= pattern
+    keys = [0] * n
+    for t in range(m):
+        for j in covered[b + t]:
+            keys[j] |= 1 << t
+    grouped: dict[int, list[int]] = {}
+    for j, key in enumerate(keys):
+        grouped.setdefault(key, []).append(j)
+    groups = list(grouped.items())
+    # For each mid word: which groups enter complemented, and the offset.
+    mids = []
+    for word in range(1 << m):
+        odd = [(key & word).bit_count() & 1 for key, _ in groups]
+        offset = sum(len(columns) - (1 << len(columns).bit_length()) + 1
+                     for (_, columns), flip in zip(groups, odd) if flip)
+        mids.append((odd, offset))
     counts = [0] * (n + 1)
-    for i in range(1 << (k - b)):
+    for i in range(1 << (k - b - m)):
         if i:
-            for j in covered[b + (i & -i).bit_length() - 1]:
+            for j in covered[b + m + (i & -i).bit_length() - 1]:
                 tables[j] ^= full
-        planes, bits = [], list(tables)
-        while bits:
-            carries = []
-            while len(bits) > 1:
-                x, y = bits.pop(), bits.pop()
-                z = bits.pop() if bits else 0
-                u = x ^ y
-                bits.append(u ^ z)
-                carries.append(x & y | u & z)
-            planes.append(bits[0])
-            bits = carries
-        # (lanes, weight so far) for each nonempty set of lanes that agree
-        # on the planes above p.
-        level = [(full, 0)]
-        for p in reversed(range(len(planes))):
-            plane = planes[p]
-            if not plane:
-                continue
-            split = []
+        sums = []
+        for key, columns in groups:
+            planes = _carry_save([[tables[j] for j in columns]])
+            sums.append((planes, [plane ^ full for plane in planes] if key else planes))
+        for odd, offset in mids:
+            levels: list[list[int]] = []
+            for (planes, flipped), flip in zip(sums, odd):
+                for p, plane in enumerate(flipped if flip else planes):
+                    if p == len(levels):
+                        levels.append([])
+                    levels[p].append(plane)
+            planes = _carry_save(levels)
+            # (lanes, weight so far) for each nonempty set of lanes that
+            # agree on the planes above p.
+            level = [(full, offset)]
+            for p in reversed(range(len(planes))):
+                plane = planes[p]
+                if not plane:
+                    continue
+                split = []
+                for lanes, w in level:
+                    one = lanes & plane
+                    zero = lanes ^ one
+                    if one:
+                        split.append((one, w + (1 << p)))
+                    if zero:
+                        split.append((zero, w))
+                level = split
             for lanes, w in level:
-                one = lanes & plane
-                zero = lanes ^ one
-                if one:
-                    split.append((one, w | 1 << p))
-                if zero:
-                    split.append((zero, w))
-            level = split
-        for lanes, w in level:
-            counts[w] += lanes.bit_count()
+                counts[w] += lanes.bit_count()
     return counts
 
 

@@ -86,6 +86,26 @@ REED_MULLER_3_6_DIGEST = "254d3d78d55efca45e1ebfacbfe0d2e56c865bc30d34286a66a4ff
 # Weight enumerator of RM(2,6) (MacWilliams & Sloane, ch. 15).
 REED_MULLER_2_6_WEIGHTS = {0: 1, 16: 2604, 24: 291648, 28: 888832, 32: 1828134,
                            36: 888832, 40: 291648, 48: 2604, 64: 1}
+# sha256 of `--json code analyze reed_muller_2_5.txt`, run from tests/data,
+# first recorded when each of the two words of the row above the lanes made
+# its own carry-save pass over all 32 column tables, so it pins that the
+# grouped count prints the same report.
+REED_MULLER_2_5_DIGEST = "b112dd65bfd9e7c41f13de8372f3311b614f43b02041c8796c0dd1b9dde5e7be"
+# Weight enumerator of RM(2,5) (MacWilliams & Sloane, ch. 15).
+REED_MULLER_2_5_WEIGHTS = {0: 1, 8: 620, 12: 13888, 16: 36518, 20: 13888, 24: 620, 32: 1}
+
+
+def macwilliams_transform(n, dual_dimension, counts):
+    """A code's enumerator from its dual's, by binomial sums (zero counts dropped)."""
+    transform = {}
+    for j in range(n + 1):
+        total = sum(b * sum((-1) ** h * comb(i, h) * comb(n - i, j - h)
+                            for h in range(min(i, j) + 1))
+                    for i, b in counts.items())
+        assert total % (1 << dual_dimension) == 0
+        if total:
+            transform[j] = total >> dual_dimension
+    return transform
 
 
 @pytest.mark.parametrize("argv, digest", PINNED)
@@ -167,6 +187,15 @@ class TestCodeAnalyze:
         assert payload["self_orthogonal"] is True
         assert payload["dual_dimension"] == 11
 
+    def test_weight_key_order_per_format(self, capsys, monkeypatch):
+        # The text report lists weights in numeric order; --json sorts every
+        # key as a string, so weight 16 comes before weight 8.
+        monkeypatch.chdir(str(resources.files("evensets") / "data"))
+        _, text, _ = run_cli(capsys, ["code", "analyze", "kummer.txt"])
+        assert "weight_distribution: {'0': 1, '8': 30, '16': 1}\n" in text
+        _, out, _ = run_cli(capsys, ["--json", "code", "analyze", "kummer.txt"])
+        assert list(json.loads(out)["payload"]["weight_distribution"]) == ["0", "16", "8"]
+
     def test_json_flag_after_subcommand(self, capsys, kummer_file):
         _, before, _ = run_cli(capsys, ["--json", "code", "analyze", kummer_file])
         _, after, _ = run_cli(capsys, ["code", "analyze", kummer_file, "--json"])
@@ -213,6 +242,21 @@ class TestCodeAnalyze:
         # The same digest is pinned for the console script in CI.
         assert sha256(out) == REED_MULLER_DIGEST
 
+    def test_reed_muller_2_5(self, capsys, monkeypatch):
+        # RM(2,5) is the self-dual [32,16,8] doubly-even code, so the count
+        # walks the code itself at dimension 16: one row above the lanes.
+        monkeypatch.chdir(Path(__file__).parent / "data")
+        code, out, _ = run_cli(capsys, ["--json", "code", "analyze", "reed_muller_2_5.txt"])
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert (payload["n"], payload["k"], payload["dual_dimension"]) == (32, 16, 16)
+        assert (payload["minimum_distance"], payload["parity_class"]) == (8, "doubly-even")
+        assert payload["weight_distribution"] == {
+            str(w): a for w, a in REED_MULLER_2_5_WEIGHTS.items()}
+        assert macwilliams_transform(32, 16, REED_MULLER_2_5_WEIGHTS) == REED_MULLER_2_5_WEIGHTS
+        # The same digest is pinned for the console script in CI.
+        assert sha256(out) == REED_MULLER_2_5_DIGEST
+
     def test_reed_muller_3_6(self, capsys, monkeypatch):
         # RM(3,6) is [64,42,8], the dual of RM(2,6), so its enumerator is
         # the MacWilliams transform of RM(2,6)'s.  The count walks the
@@ -223,16 +267,8 @@ class TestCodeAnalyze:
         payload = json.loads(out)["payload"]
         assert (payload["n"], payload["k"], payload["dual_dimension"]) == (64, 42, 22)
         assert (payload["minimum_distance"], payload["parity_class"]) == (8, "even")
-        n = 64
-        transform = {}
-        for j in range(n + 1):
-            total = sum(b * sum((-1) ** h * comb(i, h) * comb(n - i, j - h)
-                                for h in range(min(i, j) + 1))
-                        for i, b in REED_MULLER_2_6_WEIGHTS.items())
-            assert total % (1 << 22) == 0
-            if total:
-                transform[str(j)] = total >> 22
-        assert payload["weight_distribution"] == transform
+        transform = macwilliams_transform(64, 22, REED_MULLER_2_6_WEIGHTS)
+        assert payload["weight_distribution"] == {str(w): a for w, a in transform.items()}
         # The same digest is pinned for the console script in CI.
         assert sha256(out) == REED_MULLER_3_6_DIGEST
 

@@ -518,17 +518,45 @@ def walked_counts(code: LinearCode) -> list[int]:
 
 @st.composite
 def sliced_cases(draw):
+    """(code, basis in counting order, lane exponent) for every tier of the count.
+
+    Columns come from a small pool that holds the zero column, so zero and
+    repeated columns are common.  Half the lane exponents are at most
+    k - 4, so mid rows and outer rows are both present.  Some draws put the
+    all-ones row alone above the lanes: one mid row that leaves every
+    column in one group.
+    """
     n = draw(st.integers(1, 70))
-    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=14))
-    return LinearCode(n, tuple(masks)), draw(st.integers(1, 15))
+    k = draw(st.integers(0, 14))
+    pool = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=6)) + [0]
+    columns = draw(st.lists(st.sampled_from(pool) | st.integers(0, (1 << k) - 1),
+                            min_size=n, max_size=n))
+    code = LinearCode(n, tuple(sum(1 << j for j, c in enumerate(columns) if c >> r & 1)
+                               for r in range(k)))
+    ones = (1 << n) - 1
+    if draw(st.booleans()) and not code.contains(ones):
+        rows = code.rows + (ones,)
+        return LinearCode(n, rows), rows, code.dimension
+    lane_exponent = draw(st.integers(0, max(0, code.dimension - 4)) | st.integers(0, 15))
+    return code, code.rows, lane_exponent
 
 
 @st.composite
 def deep_cases(draw):
-    """Codes of length 128 to 200, so their weights take 8 bit planes."""
+    """Codes of length 128 to 200, so their weights take 8 bit planes.
+
+    Half the lane exponents stay below k, so mid rows are present and some
+    groups enter complemented; the other half are drawn from 1..12, so
+    many draws put every row in the lanes (no mid rows, one group), the
+    path a walked dimension of 11 to 15 takes.  Some rows are complements
+    of drawn masks, so heavy words set the top planes too.
+    """
     n = draw(st.integers(128, 200))
-    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
-    return LinearCode(n, tuple(masks)), draw(st.integers(1, 12))
+    ones = (1 << n) - 1
+    masks = draw(st.lists(st.tuples(st.booleans(), st.integers(0, ones))
+                          .map(lambda t: t[1] ^ ones if t[0] else t[1]), max_size=12))
+    code = LinearCode(n, tuple(masks))
+    return code, draw(st.integers(0, max(0, code.dimension - 1)) | st.integers(1, 12))
 
 
 @st.composite
@@ -555,8 +583,8 @@ class TestSlicedCounts:
     @settings(max_examples=150, deadline=None)
     @given(sliced_cases())
     def test_matches_the_walk(self, case):
-        code, lane_exponent = case
-        assert gf2._sliced_counts(code.length, code.rows, lane_exponent) == walked_counts(code)
+        code, rows, lane_exponent = case
+        assert gf2._sliced_counts(code.length, rows, lane_exponent) == walked_counts(code)
 
     @settings(max_examples=30, deadline=None)
     @given(wide_walk_codes())
@@ -584,7 +612,9 @@ class TestSlicedCounts:
         code = LinearCode(n, ((1 << n) - 1,))
         expected = [1] + [0] * (n - 1) + [1]
         assert walked_counts(code) == expected
-        for lane_exponent in (1, 15):
+        # Lane exponent 0 leaves the one row as a mid row, every column in
+        # its one group, which enters complemented for the word of weight n.
+        for lane_exponent in (0, 1, 15):
             assert gf2._sliced_counts(n, code.rows, lane_exponent) == expected
 
     def test_cap_bounds_the_sliced_dimension(self, monkeypatch):
