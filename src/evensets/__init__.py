@@ -6,7 +6,6 @@ from .gf2 import (
     LinearCode,
     classify_parity,
     dual_code,
-    enumerate_codewords,
     griesmer_max_dim,
     griesmer_min_length,
     is_self_orthogonal,

@@ -7,6 +7,7 @@ since divisibility tests drive the downstream logic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 STRICT, WEAK = "strict", "weak"
 PARITIES = (STRICT, WEAK)
@@ -23,11 +24,6 @@ class UnprovenDegreeError(ValueError):
             f"established degrees are {list(proven)}"
         )
         self.degree = s
-
-
-def _binom3(n: int) -> int:
-    # Binomial(n, 3), with the convention that it vanishes for n < 3.
-    return n * (n - 1) * (n - 2) // 6 if n >= 3 else 0
 
 
 class WeakParityError(ValueError):
@@ -69,7 +65,7 @@ def chi(s: int, v: int, weight: int) -> Fraction:
     """
     _require_degree(s)
     return Fraction(
-        s * v * (v - 2 * s + 8) + 8 * (_binom3(s - 1) + 1) - 2 * weight, 8)
+        s * v * (v - 2 * s + 8) + 8 * (comb(s - 1, 3) + 1) - 2 * weight, 8)
 
 
 def serre_dual_twist(s: int, v: int) -> int:
@@ -79,14 +75,6 @@ def serre_dual_twist(s: int, v: int) -> int:
     under v -> v'.
     """
     return 2 * (s - 4) - v
-
-
-def gallarati_check(m: int, n: int, q: int, t: int, sing_s: int) -> bool:
-    """Check the paper's contact relation q*(t - sing_s) = m*n*(m - n).
-
-    Public only: the certificates use reduced_contact_lower_bound instead.
-    """
-    return q * (t - sing_s) == m * n * (m - n)
 
 
 def reduced_contact_lower_bound(s: int, v: int) -> int:

@@ -118,6 +118,30 @@ def test_stdout_bytes_pinned(capsys, monkeypatch, argv, digest):
     assert sha256(out) == digest
 
 
+# Every pinned report, run the way a user runs it: `(argv, digest, cwd)`.
+# The code reports carry the file path, so each runs where its matrix is.
+FRESH_PROCESS = (
+    [(argv, digest, str(resources.files("evensets") / "data")) for argv, digest in PINNED]
+    + [(["--json", "code", "analyze", name], digest, str(Path(__file__).parent / "data"))
+       for name, digest in [("reed_muller_2_5.txt", REED_MULLER_2_5_DIGEST),
+                            ("reed_muller_2_6.txt", REED_MULLER_DIGEST),
+                            ("reed_muller_3_6.txt", REED_MULLER_3_6_DIGEST)]])
+
+
+@pytest.mark.parametrize("argv, digest, cwd", FRESH_PROCESS,
+                         ids=[" ".join(argv) for argv, _, _ in FRESH_PROCESS])
+def test_fresh_process_stdout_pinned(argv, digest, cwd):
+    # A cold start builds the parser on its first call. The console script
+    # runs when it is installed, the module otherwise; neither writes bytecode.
+    exe = shutil.which("evensets")
+    command = [exe] if exe else [sys.executable, "-m", "evensets.cli"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    proc = subprocess.run(command + argv, cwd=cwd, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def leaf_parsers(parser, path=()):
     """(command path, parser) for every parser with no subcommands below it."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -239,7 +263,7 @@ class TestCodeAnalyze:
         assert payload["parity_class"] == "doubly-even"
         assert payload["weight_distribution"] == {
             str(w): a for w, a in REED_MULLER_2_6_WEIGHTS.items()}
-        # The same digest is pinned for the console script in CI.
+        # test_fresh_process_stdout_pinned checks the same digest cold.
         assert sha256(out) == REED_MULLER_DIGEST
 
     def test_reed_muller_2_5(self, capsys, monkeypatch):
@@ -254,7 +278,7 @@ class TestCodeAnalyze:
         assert payload["weight_distribution"] == {
             str(w): a for w, a in REED_MULLER_2_5_WEIGHTS.items()}
         assert macwilliams_transform(32, 16, REED_MULLER_2_5_WEIGHTS) == REED_MULLER_2_5_WEIGHTS
-        # The same digest is pinned for the console script in CI.
+        # test_fresh_process_stdout_pinned checks the same digest cold.
         assert sha256(out) == REED_MULLER_2_5_DIGEST
 
     def test_reed_muller_3_6(self, capsys, monkeypatch):
@@ -269,7 +293,7 @@ class TestCodeAnalyze:
         assert (payload["minimum_distance"], payload["parity_class"]) == (8, "even")
         transform = macwilliams_transform(64, 22, REED_MULLER_2_6_WEIGHTS)
         assert payload["weight_distribution"] == {str(w): a for w, a in transform.items()}
-        # The same digest is pinned for the console script in CI.
+        # test_fresh_process_stdout_pinned checks the same digest cold.
         assert sha256(out) == REED_MULLER_3_6_DIGEST
 
 

@@ -75,17 +75,6 @@ class TestSerreDual:
                 assert serre_dual_twist(s, serre_dual_twist(s, v)) == v
 
 
-class TestGallarati:
-    def test_both_sides_zero(self):
-        assert formulas.gallarati_check(3, 3, 7, 5, 5)
-
-    def test_nontrivial_true(self):
-        assert formulas.gallarati_check(4, 2, 2, 10, 2)
-
-    def test_false(self):
-        assert not formulas.gallarati_check(3, 2, 1, 0, 0)
-
-
 class TestContactCounts:
     @given(st.integers(2, 500).flatmap(
         lambda s: st.tuples(st.just(s), st.integers(1, s - 1))))

@@ -56,7 +56,7 @@ def test_package_exports():
         "GapReport", "LinearCode", "NodalSurface", "ProofCertificate",
         "Step", "b2_resolution", "cayley_code", "chi",
         "classify_parity", "derive_gaps", "dim_lower_bound", "dual_code",
-        "e_bar_min", "e_min", "enumerate_codewords",
+        "e_bar_min", "e_min",
         "griesmer_max_dim", "griesmer_min_length", "is_self_orthogonal",
         "kummer_code", "minimum_distance", "parse_generator_matrix",
         "project_onto_support", "serre_dual_twist", "sextic_dim_certificate",
