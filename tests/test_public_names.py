@@ -15,14 +15,13 @@ PACKAGE = Path(evensets.__file__).parent
 
 
 def public_names(tree: ast.Module) -> set[str]:
-    """Names bound by the module's top-level definitions and assignments."""
+    """Names bound by the module's top-level definitions and plain assignments."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
                 names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
     return {name for name in names if not name.startswith("_")}
 
