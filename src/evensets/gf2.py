@@ -21,15 +21,15 @@ from dataclasses import dataclass
 # code and its dual, so for them it bounds min(k, n - k).
 ENUMERATION_CAP = 30
 
-# Smallest dimension counted bit-sliced: the two counts meet near dimension
-# 10, and a walk of at most 2^10 words takes about 0.2 ms.
-_SLICED_FROM = 11
+# Smallest dimension counted bit-sliced: at dimension 9 it beats a walk
+# 1.05x at n = 65 and 3x at n = 16, and at dimension 8 it loses from n = 48.
+_SLICED_FROM = 9
 # Lanes of 2^15 words: 2^16 counted [65, 16] and [65, 18] codes no faster
 # and added 0.5 MB to the benchmark's peak RSS.
 _LANE_EXPONENT = 15
 # Rows above the lanes whose 2^3 words share one pass over the column
-# tables (see _sliced_counts): 2 rows counted [65, 18] and [65, 20] codes
-# about as fast, and 4 rows counted [65, 20] codes about 10% slower.
+# tables (see _sliced_counts): on doubly-even [65, 20] and [65, 22] codes
+# 2 rows counted 8-13% slower and 4 rows 0-6% slower.
 _MID_ROWS = 3
 
 
@@ -202,6 +202,21 @@ def _carry_save(levels: list[list[int]]) -> list[int]:
     return planes
 
 
+def _ripple(a: list[int], b: list[int]) -> list[int]:
+    """Bit planes of the lane-wise sum of the numbers spelt by planes a and b (ripple carry)."""
+    if len(a) < len(b):
+        a, b = b, a
+    planes, carry = [], 0
+    for x, y in zip(a, b):
+        u = x ^ y
+        planes.append(u ^ carry)
+        carry = x & y | u & carry
+    for x in a[len(b):]:
+        planes.append(x ^ carry)
+        carry &= x
+    return planes + [carry] if carry else planes
+
+
 def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> list[int]:
     """counts[w] = number of words of weight w in the span of independent rows.
 
@@ -212,16 +227,19 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
     tier, and a Gray walk over the remaining outer rows complements the
     tables of the columns the added outer row covers.
 
-    The columns are grouped once by their bits on the mid rows.  Each outer
-    step sums each group's tables once, by _carry_save, into the group's w
-    planes, w = |g|.bit_length().  Each of the 2^m mid words then adds only
-    the group sums: a group whose key meets the mid word in an odd number of
-    rows has every column complemented, so it counts |g| - c where its
-    planes spell c.  It enters with each plane XORed with all ones, which
-    spells 2^w - 1 - c, and the readout's starting weight takes the constant
-    |g| - 2^w + 1 to make up the difference.  Lane x of plane p is bit p of
-    its word's weight less that offset, and the lanes of each weight are
-    found by descending the planes.
+    The columns are grouped once by their bits on the mid rows, their key.
+    An entry (planes, offset, size) stands for size columns of which, in
+    lane x, offset plus the number the planes spell are 1.  Each outer step
+    sums each group's tables once, by _carry_save, into the entry of its
+    key, and a butterfly over the mid rows turns the 2^m entries by key
+    into 2^m entries by mid word.  At mid row t, entries a and b whose
+    indices differ only in bit t become a + b, and a + b complemented for
+    the words with bit t set.  The complement size_b - offset_b - c, where
+    b's w planes spell c, enters as those planes XORed with all ones,
+    which spell 2^w - 1 - c, and the offset takes size_b - offset_b - 2^w
+    + 1.  Each sum is one _ripple add, m 2^m of them in all.  Lane x of
+    plane p of a mid word's entry is bit p of its word's weight less the
+    offset, and the lanes of each weight are found by descending the planes.
     """
     k = len(rows)
     if k > ENUMERATION_CAP:
@@ -248,52 +266,44 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
     for t in range(m):
         for j in covered[b + t]:
             keys[j] |= 1 << t
-    grouped: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for j, key in enumerate(keys):
-        grouped.setdefault(key, []).append(j)
-    groups = list(grouped.items())
-    # For each mid word: which groups enter complemented, and the offset.
-    mids = []
-    for word in range(1 << m):
-        odd = [(key & word).bit_count() & 1 for key, _ in groups]
-        offset = sum(len(columns) - (1 << len(columns).bit_length()) + 1
-                     for (_, columns), flip in zip(groups, odd) if flip)
-        mids.append((odd, offset))
+        groups.setdefault(key, []).append(j)
     counts = [0] * (n + 1)
     for i in range(1 << (k - b - m)):
         if i:
             for j in covered[b + m + (i & -i).bit_length() - 1]:
                 tables[j] ^= full
-        sums = []
-        for key, columns in groups:
-            planes = _carry_save([[tables[j] for j in columns]])
-            sums.append((planes, [plane ^ full for plane in planes] if key else planes))
-        for odd, offset in mids:
-            levels: list[list[int]] = []
-            for (planes, flipped), flip in zip(sums, odd):
-                for p, plane in enumerate(flipped if flip else planes):
-                    if p == len(levels):
-                        levels.append([])
-                    levels[p].append(plane)
-            planes = _carry_save(levels)
+        entries = [([], 0, 0)] * (1 << m)
+        for key, columns in groups.items():
+            entries[key] = (_carry_save([[tables[j] for j in columns]]), 0, len(columns))
+        for t in range(m):
+            for x in range(1 << m):
+                if not x >> t & 1:
+                    (pa, oa, sa), (pb, ob, sb) = entries[x], entries[x | 1 << t]
+                    entries[x] = (_ripple(pa, pb), oa + ob, sa + sb)
+                    entries[x | 1 << t] = (_ripple(pa, [p ^ full for p in pb]),
+                                           oa + sb - ob - (1 << len(pb)) + 1, sa + sb)
+        for planes, offset, _ in entries:
             # (lanes, weight so far) for each nonempty set of lanes that
-            # agree on the planes above p.
-            level = [(full, offset)]
+            # agree on the planes above p; a plane of all ones adds 2^p to
+            # every lane, so it goes into the offset.
+            level = [(full, 0)]
             for p in reversed(range(len(planes))):
                 plane = planes[p]
-                if not plane:
-                    continue
-                split = []
-                for lanes, w in level:
-                    one = lanes & plane
-                    zero = lanes ^ one
-                    if one:
-                        split.append((one, w + (1 << p)))
-                    if zero:
-                        split.append((zero, w))
-                level = split
+                if plane == full:
+                    offset += 1 << p
+                elif plane:
+                    split = []
+                    for lanes, w in level:
+                        one = lanes & plane
+                        if one == lanes or not one:
+                            split.append((lanes, w + (1 << p) if one else w))
+                        else:
+                            split += (one, w + (1 << p)), (lanes ^ one, w)
+                    level = split
             for lanes, w in level:
-                counts[w] += lanes.bit_count()
+                counts[w + offset] += lanes.bit_count()
     return counts
 
 

@@ -4,7 +4,7 @@ from math import comb
 from operator import xor
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evensets import gf2
@@ -560,13 +560,42 @@ def deep_cases(draw):
 
 
 @st.composite
+def full_mid_cases(draw):
+    """(code, rows in counting order, lane exponent k - m) for m = 1, 2 or 3.
+
+    The top m rows are mid rows and no outer row is left.  A column's key,
+    its bits on the mid rows, comes from a drawn pool that spans GF(2)^m,
+    so mid-row key classes with no columns are common: pool [1] makes the
+    one mid row all ones.  Each low row r has a column of its own, and each
+    pool key a column with no low bits, so the rows are independent.  Half
+    the draws repeat every column four times, which makes the code
+    doubly-even: a mid word that complements a group then reads offsets of
+    1 mod 4, so its two lowest weight planes are all ones.
+    """
+    m = draw(st.integers(1, 3))
+    b = draw(st.integers(0, 8))
+    pool = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=1 << m, unique=True))
+    assume(LinearCode(m, tuple(pool)).dimension == m)
+    keys = st.sampled_from(pool)
+    columns = ([1 << r | draw(keys) << b for r in range(b)] + [key << b for key in pool]
+               + draw(st.lists(st.tuples(keys, st.integers(0, (1 << b) - 1))
+                               .map(lambda t: t[0] << b | t[1]), max_size=12)))
+    if draw(st.booleans()):
+        columns = [c for c in columns for _ in range(4)]
+    rows = tuple(sum(1 << j for j, c in enumerate(columns) if c >> r & 1) for r in range(b + m))
+    code = LinearCode(len(columns), rows)
+    assert code.dimension == b + m
+    return code, rows, b
+
+
+@st.composite
 def wide_walk_codes(draw):
-    """[n, k] codes in systematic form whose walked dimension is 11 to 13.
+    """[n, k] codes in systematic form whose walked dimension is 9 to 13.
 
     k <= n - k walks the code itself and k > n - k walks its dual.  Half
     the draws append a parity column, so every word has even weight.
     """
-    walked = draw(st.integers(11, 13))
+    walked = draw(st.integers(9, 13))
     even = draw(st.booleans())
     n = 2 * walked + draw(st.integers(0, 2)) + even
     k = draw(st.sampled_from([walked, n - walked]))
@@ -605,6 +634,12 @@ class TestSlicedCounts:
         code, lane_exponent = case
         assert gf2._sliced_counts(code.length, code.rows, lane_exponent) == walked_counts(code)
 
+    @settings(max_examples=150, deadline=None)
+    @given(full_mid_cases())
+    def test_full_mid_tier_matches_the_walk(self, case):
+        code, rows, lane_exponent = case
+        assert gf2._sliced_counts(code.length, rows, lane_exponent) == walked_counts(code)
+
     @pytest.mark.parametrize("n", [(1 << d) - e for d in range(5, 9) for e in (1, 0)])
     def test_repetition_code_carries_into_the_top_plane(self, n):
         # Every column is equal, so every word weighs 0 or n, and the
@@ -631,13 +666,13 @@ class TestSlicedCounts:
         walk = gf2.enumerate_codewords
         monkeypatch.setattr(gf2, "enumerate_codewords",
                             lambda code: walks.append(code.dimension) or walk(code))
-        # [20, 10] walks the code, [22, 11] slices it, and [24, 13] slices
-        # its 11-dimensional dual.
-        for n, k in ((20, 10), (22, 11), (24, 13)):
+        # [16, 8] walks the code, [18, 9] slices it, and [20, 11] slices
+        # its 9-dimensional dual.
+        for n, k in ((16, 8), (18, 9), (20, 11)):
             code = LinearCode(n, tuple(1 << i | 1 << (k + i % (n - k)) for i in range(k)))
             assert code.dimension == k
             gf2.weight_distribution(code)
-        assert walks == [10]
+        assert walks == [8]
 
 
 def polynomial_product(p: list[int], q: list[int]) -> list[int]:
