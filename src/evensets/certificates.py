@@ -54,33 +54,45 @@ class ProofCertificate:
     def invalid_steps(self) -> list[int]:
         return [i for i, s in enumerate(self.steps) if not check_step(s)]
 
+    def payload(self) -> dict[str, Any]:
+        """The report's fields before encoding: the schema version and vars(self)."""
+        return {"schema_version": SCHEMA_VERSION, **vars(self)}
+
     def to_dict(self) -> dict[str, Any]:
-        return {"schema_version": SCHEMA_VERSION, **_encode(vars(self))}
+        return _encode(self.payload())
 
 
 def _encode(value: Any) -> Any:
-    """JSON-ready form with a deterministic layout, used for every report.
+    """JSON-ready copy of a value, with a deterministic layout.
 
-    Fractions become an int when integral, else "p/q"; a LinearCode becomes
-    its length and basis bit strings; other dataclasses go through their
-    field dicts; dicts are sorted by their original keys, which become
-    strings.  So the text report keeps numeric keys in numeric order, while
-    --json re-sorts every key as a string ("0", "16", "8").  Any other type
-    raises TypeError rather than reaching json.dumps unchecked.
+    Walks lists, tuples and dicts, and applies _plain to any other value but
+    None, an int or a str.  Dicts are sorted by their original keys, which
+    become strings, so the text report keeps numeric keys in numeric order
+    while --json re-sorts every key as a string ("0", "16", "8").
     """
-    if isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in sorted(value.items())}
+    return _encode(_plain(value))
+
+
+def _plain(value: Any) -> Any:
+    """One level of the JSON form of a value JSON has no type for.
+
+    A Fraction becomes an int when integral, else "p/q"; a LinearCode its
+    length and basis bit strings; any other dataclass its field dict.  Any
+    other type raises TypeError.  _encode and the --json writer apply it.
+    """
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
     if isinstance(value, gf2.LinearCode):
         return {"length": value.length,
                 "rows": [gf2.bit_string(value.length, m) for m in value.rows]}
     if is_dataclass(value):
-        return _encode(vars(value))
+        return vars(value)
     raise TypeError(f"no JSON form for type {type(value).__name__}")
 
 
@@ -93,7 +105,7 @@ def _weight_rule(s: int, parity: str) -> tuple[int, int]:
 
 def _admissible_weights(s: int, parity: str, lower: int, upper: int) -> list[int]:
     modulus, residue = _weight_rule(s, parity)
-    return [w for w in range(lower, upper + 1) if w % modulus == residue]
+    return list(range(lower + (residue - lower) % modulus, upper + 1, modulus))
 
 
 def _h0_lower_bound(inp: dict[str, Any], out: Any) -> bool:

@@ -94,7 +94,7 @@ def cmd_emin(args) -> tuple[str, dict[str, Any]]:
 
 def cmd_gaps(args) -> tuple[str, dict[str, Any]]:
     cert = certificates.derive_gaps(args.degree, args.parity)
-    return "pass" if cert.validate() else "fail", cert.to_dict()
+    return "pass" if cert.validate() else "fail", cert.payload()
 
 
 def cmd_surface_bounds(args) -> tuple[str, dict[str, Any]]:
@@ -132,13 +132,13 @@ def _render_text(report: dict[str, Any]) -> str:
                      f"{sum(c['pass'] for c in payload['checks'])}"
                      f"/{len(payload['checks'])}")
     elif "steps" in payload:
-        report_gap = payload["conclusion"]
+        encode = certificates._encode
         for i, step in enumerate(payload["steps"], start=1):
-            detail = f" -- {step['note']}" if step["note"] else ""
-            lines.append(f"step {i} [{step['rule']}] "
-                         f"inputs={json.dumps(step['inputs'], sort_keys=True)} "
-                         f"=> {step['asserted_output']}{detail}")
-        lines.append(f"conclusion: {json.dumps(report_gap, sort_keys=True)}")
+            detail = f" -- {step.note}" if step.note else ""
+            lines.append(f"step {i} [{step.rule}] "
+                         f"inputs={json.dumps(encode(step.inputs), sort_keys=True)} "
+                         f"=> {encode(step.asserted_output)}{detail}")
+        lines.append(f"conclusion: {json.dumps(encode(payload['conclusion']), sort_keys=True)}")
     else:
         for key, value in payload.items():
             lines.append(f"{key}: {value}")
@@ -146,11 +146,13 @@ def _render_text(report: dict[str, Any]) -> str:
 
 
 def _write_json(value: Any, newline: str, out: list[str]) -> None:
-    """Append json.dumps(value, sort_keys=True, indent=2)'s text to out.
+    """Append json.dumps(value, sort_keys=True, indent=2, default=_plain)'s text to out.
 
-    json's C encoder runs only when indent is None.  A report holds str, None,
-    bool, int, and lists, tuples and str-keyed dicts of them; anything else,
-    floats included, is a TypeError.  newline is "\n" and the current indent.
+    json's C encoder runs only when indent is None.  Values other than str,
+    None, bool, int, lists, tuples and str-keyed dicts are written as their
+    certificates._plain form, so a certificate's payload() needs no _encode
+    pass.  An int key, a float or any other type raises TypeError.  newline
+    is "\n" and the current indent.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -176,7 +178,7 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
             separator = "," + inner
         out.append(newline + "]" if value else "[]")
     else:
-        raise TypeError(f"no JSON form for type {type(value).__name__}")
+        _write_json(certificates._plain(value), newline, out)
 
 
 def _emit(report: dict[str, Any], args) -> int:

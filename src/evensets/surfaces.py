@@ -10,7 +10,6 @@ Node indices are 0-based everywhere, including file I/O.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import formulas
@@ -81,9 +80,10 @@ def weak_weight_residue(s: int) -> int:
     formulas._require_degree(s)
     formulas._require_parity(s, WEAK)
     base = formulas.chi(s, 1, 0)
-    residue = 4 * (base - math.floor(base))
-    assert residue.denominator == 1
-    return int(residue) % 4
+    # For even s, 4 * chi(s, 1, 0) is an integer, and r is its residue mod 4.
+    quadruple, rest = divmod(4 * base.numerator, base.denominator)
+    assert rest == 0
+    return quadruple % 4
 
 
 KUMMER_ROWS = (

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evensets import certificates, formulas, surfaces, verification
 from evensets.certificates import (
@@ -97,6 +99,15 @@ class TestDeriveGaps:
         assert doc["schema_version"] == "1"
         assert {"rule", "inputs", "asserted_output", "note"} <= set(doc["steps"][0])
         assert doc["conclusion"]["excluded_weights"] == [40]
+
+    @given(st.sampled_from([(s, parity) for parity in (STRICT, WEAK)
+                            for s in formulas.PROVEN_DEGREES[parity]]),
+           st.integers(-20, 300), st.integers(-20, 300))
+    def test_admissible_weights_equal_the_filter(self, pair, lower, upper):
+        s, parity = pair
+        modulus, residue = certificates._weight_rule(s, parity)
+        assert certificates._admissible_weights(s, parity, lower, upper) == [
+            w for w in range(lower, upper + 1) if w % modulus == residue]
 
     def test_encoder_rejects_an_unknown_type(self):
         with pytest.raises(TypeError) as exc:

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evensets import cli, gf2
+from evensets import certificates, cli, formulas, gf2
 
 
 def run_cli(capsys, argv):
@@ -116,6 +117,43 @@ def test_stdout_bytes_pinned(capsys, monkeypatch, argv, digest):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert sha256(out) == digest
+
+
+# sha256 of `gaps` stdout, text then --json, for every proven (degree,
+# parity), recorded when the command printed the certificate's to_dict().
+# Checked in-process only; (10, strict) also runs in a fresh process above.
+GAPS_PINNED = [
+    (3, "strict", "6b93e00d6dfcb410f48829d80cf72590223eb2add318d2f575de8ffee593a6ca",
+     "27a6d71e55d8766aa6ca164ac1a02f440d73e1c566de6e536f85dca637821a2a"),
+    (4, "strict", "e8216471906d2a36b6e5f934ebfdbe57bcab0c3949f0459d8d133e8e08d1a039",
+     "17af6dc096e8f1278114d2fe1452f87304b534ccd7d665a2d5b363573138b0f8"),
+    (5, "strict", "4c0deec07a7e1dba8882b6b2150f7a67876a07ab48201c38e9b692a8214a0b7f",
+     "46df067ae86a3b6c66a4a7e28777735b31ff8a75cd5517ee04eb85b3f0068e29"),
+    (6, "strict", "03de8b1f3ee66988989b9649ee58f9779a6e6f7062232c169914abf5a7cdf2a8",
+     "98338f92b692ae31a6814de8f476bdad8abfa6de53ad667b0ccee2bd99396d68"),
+    (7, "strict", "728813651c7eb5458fa83d18fa167655c839095041f39318779d0ed2b39aaa58",
+     "03d6a263d048fc039c46ff40e0807e711cc16b096129555c2a1cb26443ce06cf"),
+    (8, "strict", "9ef9abd877c1b4f2a348c31222ec3b5faaef77b5b87fd7f3546d3f410eaa36df",
+     "494f0f8bf4c1b61c5f2536c98ebed0a28fd202860581e4b6f5b422278dbd2943"),
+    (10, "strict", "46d80a35b03f62b8bbf51830981c4581bb2612e0c159d9b92f05958a4b0590cd",
+     "31ecf4716fd9e4bbce24713e338f743dcdaaca2a21625ef450f7dbc7e216e0b4"),
+    (2, "weak", "1756ea62557dd00da5a3758a8fb028fa4b39a2408a01022e908e489857fb850d",
+     "ca19108f0961bf7bdb870836df632c457fd806e47a36ca8a30a35a1ed7a3bff0"),
+    (4, "weak", "164c5faf559ea022a9e753391af024cd4432fee5eeade9ec374030de9d8964bc",
+     "e7d4564da918a8003ca315931b2fa41982a6e060d6219c84352d2255bb275904"),
+    (6, "weak", "bede14caec5d3690f306dab6d9ff0f60adc7b203fb38319d2a2c939280315e14",
+     "8c3cdd25beed03221284e126966429739053e4ed690ae7e81845746c12febb78"),
+    (8, "weak", "1088d246eb28304610814ca8618c9bd43fae3d210ad2b7c4b2d8cd805a3c11fb",
+     "0f71a83500573c94682e6bb60a6b78b9bd17736fedaa25b8e6723a17c5f39874"),
+]
+
+
+@pytest.mark.parametrize("degree, parity, text_digest, json_digest", GAPS_PINNED)
+def test_gaps_stdout_pinned(capsys, degree, parity, text_digest, json_digest):
+    argv = ["gaps", "--degree", str(degree), "--parity", parity]
+    for flags, digest in (([], text_digest), (["--json"], json_digest)):
+        code, out, _ = run_cli(capsys, flags + argv)
+        assert (code, sha256(out)) == (0, digest), flags
 
 
 # Every pinned report, run the way a user runs it: `(argv, digest, cwd)`.
@@ -596,11 +634,16 @@ def written_json(value):
     return "".join(out)
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200) | st.text(),
-    lambda children: (st.lists(children) | st.lists(children).map(tuple)
-                      | st.dictionaries(st.text(), children)),
-    max_leaves=40)
+json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+               | st.text())
+
+
+def json_containers(children):
+    return (st.lists(children) | st.lists(children).map(tuple)
+            | st.dictionaries(st.text(), children))
+
+
+json_values = st.recursive(json_leaves, json_containers, max_leaves=40)
 
 
 class TestJsonWriter:
@@ -612,6 +655,22 @@ class TestJsonWriter:
               "A": {"b": [False, "\x1f\\\""]}})
     def test_equals_json_dumps(self, value):
         assert written_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("cert", [
+        *(certificates.derive_gaps(s, parity)
+          for parity in (formulas.STRICT, formulas.WEAK)
+          for s in formulas.PROVEN_DEGREES[parity]),
+        certificates.sextic_dim_certificate()])
+    def test_certificate_fields_equal_to_dict(self, cert):
+        assert (written_json({"schema_version": certificates.SCHEMA_VERSION, **vars(cert)})
+                == json.dumps(cert.to_dict(), sort_keys=True, indent=2))
+
+    @settings(max_examples=150)
+    @given(st.recursive(json_leaves | st.builds(Fraction, st.integers(), st.integers(1, 8)),
+                        json_containers, max_leaves=40))
+    def test_fractions_are_written_as_encoded(self, value):
+        assert (written_json(value)
+                == json.dumps(certificates._encode(value), sort_keys=True, indent=2))
 
     @pytest.mark.parametrize("value", [1.0, {1: 2}, object()])
     def test_rejects_what_a_report_never_holds(self, value):

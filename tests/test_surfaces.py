@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -94,6 +95,11 @@ class TestWeightRules:
             for w in range(0, 32):
                 integral = formulas.chi(s, 1, w).denominator == 1
                 assert integral == (w % 4 == r)
+
+    def test_weak_residue_equals_the_fractional_part_of_chi(self):
+        for s in range(2, 401, 2):
+            c = formulas.chi(s, 1, 0)
+            assert surfaces.weak_weight_residue(s) == int(4 * (c - math.floor(c))) % 4, s
 
     def test_weak_residue_odd_degree(self):
         with pytest.raises(formulas.WeakParityError) as exc:
