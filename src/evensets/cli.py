@@ -195,6 +195,10 @@ def _emit(report: dict[str, Any], args) -> int:
     return 0 if report["status"] in ("pass", "info") else 1
 
 
+# Each leaf parser under its command words, recorded by build_parser.
+_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Grammar only, no handlers: built on first use, shared by later calls."""
@@ -213,53 +217,81 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--output", metavar="PATH", default=argparse.SUPPRESS)
 
+    def leaf(subparsers, *words: str, **kwargs) -> argparse.ArgumentParser:
+        _LEAVES[words] = subparsers.add_parser(words[-1], parents=[common], **kwargs)
+        return _LEAVES[words]
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     code = sub.add_parser("code", help="generator-matrix analytics")
     code_sub = code.add_subparsers(dest="subcommand", required=True)
-    analyze = code_sub.add_parser("analyze", parents=[common], help="basic code statistics")
+    analyze = leaf(code_sub, "code", "analyze", help="basic code statistics")
     analyze.add_argument("file")
-    project = code_sub.add_parser("project", parents=[common],
-                                  help="project the code onto a codeword support")
+    project = leaf(code_sub, "code", "project",
+                   help="project the code onto a codeword support")
     project.add_argument("file")
     project.add_argument("--word", required=True, metavar="BITS")
 
-    griesmer = sub.add_parser("griesmer", parents=[common], help="Griesmer bound calculator")
+    griesmer = leaf(sub, "griesmer", help="Griesmer bound calculator")
     length_or_dimension = griesmer.add_mutually_exclusive_group(required=True)
     length_or_dimension.add_argument("--n", type=int)
     length_or_dimension.add_argument("--k", type=int)
     griesmer.add_argument("--d", type=int, required=True)
 
-    chi = sub.add_parser("chi", parents=[common], help="exact Euler characteristic")
+    chi = leaf(sub, "chi", help="exact Euler characteristic")
     chi.add_argument("--degree", type=int, required=True)
     chi.add_argument("--twist", type=int, required=True)
     chi.add_argument("--weight", type=int, required=True)
 
-    emin = sub.add_parser("emin", parents=[common], help="minimal even-set weight")
+    emin = leaf(sub, "emin", help="minimal even-set weight")
     emin.add_argument("--degree", type=int, required=True)
     emin.add_argument("--weak", action="store_true")
 
-    gaps = sub.add_parser("gaps", parents=[common], help="gap certificate for one degree")
+    gaps = leaf(sub, "gaps", help="gap certificate for one degree")
     gaps.add_argument("--degree", type=int, required=True)
     gaps.add_argument("--parity", choices=formulas.PARITIES, required=True)
 
     surface = sub.add_parser("surface", help="surface constraints")
     surface_sub = surface.add_subparsers(dest="subcommand", required=True)
-    bounds = surface_sub.add_parser("bounds", parents=[common])
+    bounds = leaf(surface_sub, "surface", "bounds")
     bounds.add_argument("--degree", type=int, required=True)
     bounds.add_argument("--nodes", type=int, required=True)
 
     verify = sub.add_parser("verify", help="regression sweeps")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    paper = verify_sub.add_parser("paper", parents=[common], help="run every pinned check")
+    paper = leaf(verify_sub, "verify", "paper", help="run every pinned check")
     paper.add_argument("--data-dir", metavar="PATH",
                        help="override the bundled generator-matrix files")
 
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one argparse pass when argv names a leaf.
+
+    The root and mid parsers have no positional but their subcommand, which
+    hands every later string to the child, so the tree's namespace for an
+    argv that starts with a leaf's words is the leaf's plus what the outer
+    levels set.  Any other argv, or one the leaf leaves strings over from,
+    goes through the tree, so usage lines, errors and exit codes are its own.
+    """
+    parser = build_parser()
+    words = tuple(argv[:1])
+    if words not in _LEAVES:
+        words = tuple(argv[:2])
+    leaf = _LEAVES.get(words)
+    if leaf is not None:
+        namespace = argparse.Namespace(json=False, output=None, command=words[0])
+        if len(words) == 2:
+            namespace.subcommand = words[1]
+        args, extras = leaf.parse_known_args(argv[len(words):], namespace)
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     # The parsed path names both the command ("code analyze") and its handler
     # (cmd_code_analyze), looked up at call time; each cmd_* returns
     # (status, payload).

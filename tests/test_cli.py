@@ -803,3 +803,54 @@ class TestFuzz:
                 os.chdir(cwd)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue()
+
+
+def parse_outcome(parse, argv):
+    """vars(parse(argv)), or the (exit code, stdout, stderr) of its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestLeafParse:
+    """main parses at the leaf its leading words name and falls back to the tree."""
+
+    def test_leaf_table_is_the_tree_leaves(self):
+        tree = dict(leaf_parsers(cli.build_parser()))
+        assert cli._LEAVES.keys() == tree.keys()
+        assert all(cli._LEAVES[path] is parser for path, parser in tree.items())
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in PINNED]
+                             + [list(path) + ["-h"] for path in COMMANDS],
+                             ids=" ".join)
+    def test_pinned_and_help_argv_parse_as_the_tree(self, argv):
+        assert (parse_outcome(cli._parse_args, argv)
+                == parse_outcome(cli.build_parser().parse_args, argv))
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_argv(), matrix_files())
+    def test_fuzzed_argv_parse_as_the_tree(self, argv, matrix):
+        paths = {MATRIX: "m.txt", OUTPUT: "out", DIRECTORY: ".",
+                 FIRST_ROW: matrix.decode("utf-8", "replace").split("\n")[0]}
+        argv = [paths.get(t, t) for t in argv]
+        assert (parse_outcome(cli._parse_args, argv)
+                == parse_outcome(cli.build_parser().parse_args, argv)), argv
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["evensets", "emin", "--degree", "4"])
+        code = cli.main()
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == ("command: emin\nstatus: info\ndegree: 4\n"
+                                "parity: strict\nmin_weight: 8\n")
+
+    def test_leftover_strings_get_the_root_usage(self, capsys, kummer_file):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["code", "analyze", kummer_file, "extra"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: evensets [-h]")
+        assert err.rstrip().endswith("error: unrecognized arguments: extra")
