@@ -169,8 +169,6 @@ def check_step(step: Step) -> bool:
 
 @dataclass(frozen=True)
 class _Case:
-    degree: int
-    parity: str
     twist: int               # twist at which the forcing chi is evaluated
     h2_mode: str             # "vanishes" | "equals-h0" | "at-most-one"
     cap: int                 # largest admissible weight the argument handles
@@ -178,28 +176,27 @@ class _Case:
     notes: tuple[str, ...] = ()
 
 
-_CASE_LIST = (
-    _Case(3, STRICT, twist=2, h2_mode="vanishes", cap=4),
-    _Case(4, STRICT, twist=2, h2_mode="vanishes", cap=16, notes=(
+_CASES = {
+    (3, STRICT): _Case(twist=2, h2_mode="vanishes", cap=4),
+    (4, STRICT): _Case(twist=2, h2_mode="vanishes", cap=16, notes=(
         "the source argument evaluates chi at an odd trial weight where the "
         "value is non-integral; the even-weight evaluation one below is used "
         "instead and recorded here",
     )),
-    _Case(5, STRICT, twist=2, h2_mode="vanishes", cap=16),
-    _Case(6, STRICT, twist=2, h2_mode="equals-h0", cap=24),
-    _Case(7, STRICT, twist=4, h2_mode="at-most-one", cap=40,
-          instability=(4, 42), notes=(
-              "the source argument caps trial weights at 44, but the checked "
-              "instability bound evaluates to 42; 42 is used (the excluded "
-              "weight 40 lies below either cap)",
-          )),
-    _Case(8, STRICT, twist=4, h2_mode="equals-h0", cap=56, instability=(4, 64)),
-    _Case(10, STRICT, twist=6, h2_mode="equals-h0", cap=112, instability=(6, 120)),
-    _Case(4, WEAK, twist=1, h2_mode="vanishes", cap=6),
-    _Case(6, WEAK, twist=3, h2_mode="at-most-one", cap=23, instability=(3, 27)),
-    _Case(8, WEAK, twist=3, h2_mode="at-most-one", cap=56, instability=(5, 60)),
-)
-_CASES = {(c.degree, c.parity): c for c in _CASE_LIST}
+    (5, STRICT): _Case(twist=2, h2_mode="vanishes", cap=16),
+    (6, STRICT): _Case(twist=2, h2_mode="equals-h0", cap=24),
+    (7, STRICT): _Case(twist=4, h2_mode="at-most-one", cap=40,
+                       instability=(4, 42), notes=(
+                           "the source argument caps trial weights at 44, but the checked "
+                           "instability bound evaluates to 42; 42 is used (the excluded "
+                           "weight 40 lies below either cap)",
+                       )),
+    (8, STRICT): _Case(twist=4, h2_mode="equals-h0", cap=56, instability=(4, 64)),
+    (10, STRICT): _Case(twist=6, h2_mode="equals-h0", cap=112, instability=(6, 120)),
+    (4, WEAK): _Case(twist=1, h2_mode="vanishes", cap=6),
+    (6, WEAK): _Case(twist=3, h2_mode="at-most-one", cap=23, instability=(3, 27)),
+    (8, WEAK): _Case(twist=3, h2_mode="at-most-one", cap=56, instability=(5, 60)),
+}
 
 _H2_HYPOTHESES = {
     "vanishes": "the second cohomology group at this twist vanishes (dual "

@@ -18,13 +18,6 @@ PROVEN_DEGREES = {STRICT: (3, 4, 5, 6, 7, 8, 10), WEAK: (2, 4, 6, 8)}
 class UnprovenDegreeError(ValueError):
     """The minimal-weight formula is not established for this degree."""
 
-    def __init__(self, s: int, proven: tuple[int, ...]):
-        super().__init__(
-            f"minimal-weight value for degree {s} is conjectural; "
-            f"established degrees are {list(proven)}"
-        )
-        self.degree = s
-
 
 class WeakParityError(ValueError):
     """Weakly even sets exist only on surfaces of even degree."""
@@ -52,7 +45,8 @@ def _require_proven(s: int, parity: str) -> None:
         raise ValueError(f"no nonzero strictly even set exists in degree {s}; "
                          f"a degree-{s} surface has at most 1 node")
     if s not in PROVEN_DEGREES[parity]:
-        raise UnprovenDegreeError(s, PROVEN_DEGREES[parity])
+        raise UnprovenDegreeError(f"minimal-weight value for degree {s} is conjectural; "
+                                  f"established degrees are {list(PROVEN_DEGREES[parity])}")
 
 
 def chi(s: int, v: int, weight: int) -> Fraction:

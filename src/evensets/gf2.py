@@ -44,7 +44,6 @@ class EnumerationCapError(RuntimeError):
         super().__init__(
             f"refusing to enumerate 2^{dimension} codewords (cap is 2^{ENUMERATION_CAP})"
         )
-        self.dimension = dimension
 
 
 class NotACodewordError(ValueError):
@@ -177,20 +176,17 @@ def _macwilliams(n: int, dual_dimension: int, counts: Sequence[int]) -> list[int
     return [sum(column) >> dual_dimension for column in zip(*terms)]
 
 
-def _carry_save(levels: list[list[int]]) -> list[int]:
-    """Bit planes of the lane-wise sum of the ints in levels[p], each weighing 2^p.
+def _carry_save(bits: list[int]) -> list[int]:
+    """Bit planes of the lane-wise sum of the given ints; consumes the list.
 
     A carry-save reduction (Harley-Seal, as in Muła, Kurz & Lemire, Comput.
-    J. 61, 2018): a full adder turns three bits of a level into a sum bit
-    there and a carry bit at the next level, a leftover pair takes a zero
-    third bit, and each level ends as one plane.  Every level below the top
-    must be nonempty.  A single level of s ints gives s.bit_length() planes.
+    J. 61, 2018): a full adder turns three bits of a plane into a sum bit
+    there and a carry bit for the next plane, a leftover pair takes a zero
+    third bit, and the carries are reduced likewise into the next plane.
+    s ints give s.bit_length() planes.
     """
     planes: list[int] = []
-    carries: list[int] = []
-    while carries or len(planes) < len(levels):
-        p = len(planes)
-        bits = carries + levels[p] if p < len(levels) else carries
+    while bits:
         carries = []
         while len(bits) > 1:
             x, y = bits.pop(), bits.pop()
@@ -199,6 +195,7 @@ def _carry_save(levels: list[list[int]]) -> list[int]:
             bits.append(u ^ z)
             carries.append(x & y | u & z)
         planes.append(bits[0])
+        bits = carries
     return planes
 
 
@@ -276,7 +273,7 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
                 tables[j] ^= full
         entries = [([], 0, 0)] * (1 << m)
         for key, columns in groups.items():
-            entries[key] = (_carry_save([[tables[j] for j in columns]]), 0, len(columns))
+            entries[key] = (_carry_save([tables[j] for j in columns]), 0, len(columns))
         for t in range(m):
             for x in range(1 << m):
                 if not x >> t & 1:
@@ -447,4 +444,4 @@ def parse_generator_matrix(text: str) -> LinearCode:
         rows.append(compact)
     if not rows:
         raise GeneratorMatrixParseError("no data rows found")
-    return LinearCode.from_strings(rows)
+    return LinearCode(len(rows[0]), tuple(int(row[::-1], 2) for row in rows))

@@ -9,7 +9,6 @@ canonical encodings.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
 
@@ -164,7 +163,7 @@ def run_full_verification(data_dir: Optional[Path] = None) -> dict[str, Any]:
         gf2.weight_distribution(surfaces.togliatti_simplex_construction()),
     ))
 
-    data = data_dir or resources.files("evensets") / "data"
+    data = data_dir or Path(__file__).with_name("data")
     for label, expected in (("kummer", kummer), ("togliatti", togliatti)):
         parsed = gf2.parse_generator_matrix(
             (data / f"{label}.txt").read_text(encoding="utf-8"))

@@ -301,6 +301,26 @@ class TestGriesmer:
         assert gf2.griesmer_max_dim(gf2.griesmer_min_length(k, d), d) >= k
 
 
+@st.composite
+def matrix_texts(draw):
+    """(text, rows): equal-length '0'/'1' rows written as a generator-matrix file.
+
+    Rows get spaces inside and around them, comment and blank lines come
+    between them, and lines end in LF or CRLF.
+    """
+    n = draw(st.integers(1, 20))
+    rows = draw(st.lists(st.text("01", min_size=n, max_size=n), min_size=1, max_size=8))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", " #01 x", "#"]), max_size=2))
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+        pieces = [row[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+        pad = st.integers(0, 2).map(" ".__mul__)
+        lines.append(draw(pad) + " ".join(pieces) + draw(pad))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), rows
+
+
 class TestParsing:
     def test_round_trip_with_comments_and_spaces(self):
         for text in ("# header\n\n1 1 0 0\n0011\n", "# header\n\n1  1 0 0\n0011\n"):
@@ -324,6 +344,20 @@ class TestParsing:
         # No line holds the fault, so none is cited.
         assert err.value.line_number is None
         assert str(err.value) == "no data rows found"
+
+    @pytest.mark.parametrize("bad", ["\u0661", "\uff11", "1_0", "+1", "0b1"])
+    def test_characters_int_accepts_are_rejected(self, bad):
+        # int(bad, 2) accepts each of these; only the parser's line check rejects them.
+        with pytest.raises(gf2.GeneratorMatrixParseError) as err:
+            gf2.parse_generator_matrix(f"# header\n1100\n{bad}\n")
+        assert err.value.line_number == 3
+        assert str(err.value) == f"line 3: expected only '0', '1' and spaces, got {bad!r}"
+
+    @settings(max_examples=200)
+    @given(matrix_texts())
+    def test_matches_from_strings(self, case):
+        text, rows = case
+        assert gf2.parse_generator_matrix(text) == LinearCode.from_strings(rows)
 
 
 @st.composite
@@ -604,6 +638,41 @@ def wide_walk_codes(draw):
     if even:
         rows = [row | (row.bit_count() % 2) << (n - 1) for row in rows]
     return LinearCode(n, tuple(rows))
+
+
+@st.composite
+def lane_ints(draw, lists, min_size, max_size):
+    """(lanes, *lists): the given number of lists of ints over 2^e lanes, e in 0..6."""
+    lanes = 1 << draw(st.integers(0, 6))
+    ints = st.lists(st.integers(0, (1 << lanes) - 1), min_size=min_size, max_size=max_size)
+    return (lanes, *(draw(ints) for _ in range(lists)))
+
+
+def spelt(planes: list[int], lane: int) -> int:
+    """The number that bit planes spell in one lane."""
+    return sum((plane >> lane & 1) << p for p, plane in enumerate(planes))
+
+
+class TestAdders:
+    """The two plane adders of the bit-sliced count, lane by lane."""
+
+    @settings(max_examples=200)
+    @given(lane_ints(1, 1, 70))
+    def test_carry_save_spells_each_lane_popcount(self, case):
+        lanes, bits = case
+        planes = gf2._carry_save(list(bits))
+        assert len(planes) == len(bits).bit_length()
+        for x in range(lanes):
+            assert spelt(planes, x) == sum(b >> x & 1 for b in bits)
+
+    @settings(max_examples=200)
+    @given(lane_ints(2, 0, 8))
+    @example((4, [0b1111, 0b1010, 0b0110], [0b0111]))  # lane 1: 7 + 1 carries out
+    def test_ripple_spells_each_lane_sum(self, case):
+        lanes, a, b = case
+        planes = gf2._ripple(a, b)
+        for x in range(lanes):
+            assert spelt(planes, x) == spelt(a, x) + spelt(b, x)
 
 
 class TestSlicedCounts:
