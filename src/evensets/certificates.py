@@ -15,38 +15,44 @@ excluded weights strictly between it and the smooth-contact endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import formulas, gf2, surfaces
 from .formulas import STRICT, WEAK
 
 SCHEMA_VERSION = "1"
 
-@dataclass(frozen=True)
-class Step:
+class Step(gf2._Value):
     rule: str
     inputs: dict[str, Any]
     asserted_output: Any
-    note: str = ""
+    note: str
+
+    def __init__(self, rule, inputs, asserted_output, note=""):
+        vars(self).update(rule=rule, inputs=inputs, asserted_output=asserted_output, note=note)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(gf2._Value):
     degree: int
     parity: str
     min_weight: int
     excluded_weights: tuple[int, ...]
     upper_endpoint: int
 
+    def __init__(self, degree, parity, min_weight, excluded_weights, upper_endpoint):
+        vars(self).update(degree=degree, parity=parity, min_weight=min_weight,
+                          excluded_weights=excluded_weights, upper_endpoint=upper_endpoint)
 
-@dataclass(frozen=True)
-class ProofCertificate:
+
+class ProofCertificate(gf2._Value):
     degree: int
     parity: str
     steps: tuple[Step, ...]
     conclusion: Any  # GapReport for gap certificates, an integer for dimension ones
+
+    def __init__(self, degree, parity, steps, conclusion):
+        vars(self).update(degree=degree, parity=parity, steps=steps, conclusion=conclusion)
 
     def validate(self) -> bool:
         return not self.invalid_steps()
@@ -83,7 +89,7 @@ def _plain(value: Any) -> Any:
     """One level of the JSON form of a value JSON has no type for.
 
     A Fraction becomes an int when integral, else "p/q"; a LinearCode its
-    length and basis bit strings; any other dataclass its field dict.  Any
+    length and basis bit strings; any other gf2._Value record its field dict.  Any
     other type raises TypeError.  _encode and the --json writer apply it.
     """
     if isinstance(value, Fraction):
@@ -91,7 +97,7 @@ def _plain(value: Any) -> Any:
     if isinstance(value, gf2.LinearCode):
         return {"length": value.length,
                 "rows": [gf2.bit_string(value.length, m) for m in value.rows]}
-    if is_dataclass(value):
+    if isinstance(value, gf2._Value):
         return vars(value)
     raise TypeError(f"no JSON form for type {type(value).__name__}")
 
@@ -167,8 +173,7 @@ def check_step(step: Step) -> bool:
     return checker(step.inputs, step.asserted_output)
 
 
-@dataclass(frozen=True)
-class _Case:
+class _Case(NamedTuple):
     twist: int               # twist at which the forcing chi is evaluated
     h2_mode: str             # "vanishes" | "equals-h0" | "at-most-one"
     cap: int                 # largest admissible weight the argument handles

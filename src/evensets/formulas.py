@@ -94,8 +94,8 @@ def unstable_lower_bound(s: int, v: int) -> int:
 
     At 2v = s the value is exact (s^3/8).  For the other two twists we use
     reduced_contact_lower_bound, the reduced-surface bound s*v*(s-v)/2 the
-    per-degree arguments actually invoke (42, 60, 120 at s = 7, 8, 10); see
-    the certificate deviation note for the alternative squared variants.
+    per-degree arguments actually invoke (42, 60, 120 at s = 7, 8, 10); the
+    (7, strict) certificate's deviation note records the source's cap of 44.
     """
     if 2 * v not in (s, s + 1, s + 2):
         raise ValueError(

@@ -14,7 +14,6 @@ All values are immutable; nothing here mutates shared state.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 # Largest dimension an exhaustive count may cover, read by enumerate_codewords
 # and _sliced_counts at each call.  Weight statistics count the smaller of a
@@ -58,6 +57,25 @@ class GeneratorMatrixParseError(ValueError):
         self.line_number = line_number
 
 
+class _Value:
+    """Immutable record: __init__ fills vars(self) in the order its fields are annotated."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
 def parse_bits(bits: str) -> int:
     """Mask of a '0'/'1' string; leftmost character is coordinate 0."""
     if bits.strip("01"):
@@ -90,8 +108,7 @@ def _rref(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows[pivot] for pivot in sorted(rows))
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(_Value):
     """The span in GF(2)^length of the given row masks.
 
     Any spanning masks are accepted; rows holds their canonical reduced
@@ -102,15 +119,15 @@ class LinearCode:
     length: int
     rows: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError(f"negative length {self.length}")
-        for m in self.rows:
+    def __init__(self, length, rows):
+        if length < 0:
+            raise ValueError(f"negative length {length}")
+        for m in rows:
             if m < 0:
                 raise ValueError(f"negative row mask {m}")
-            if m >> self.length:
-                raise ValueError(f"row mask {m:#x} does not fit in {self.length} bits")
-        object.__setattr__(self, "rows", _rref(self.rows))
+            if m >> length:
+                raise ValueError(f"row mask {m:#x} does not fit in {length} bits")
+        vars(self).update(length=length, rows=_rref(rows))
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> LinearCode:
@@ -424,11 +441,12 @@ def parse_generator_matrix(text: str) -> LinearCode:
 
     Lines of '0'/'1' characters; every space in a data line is dropped, so
     any spacing between characters is accepted; '#' starts a comment line;
-    blank lines are ignored; all data lines must have equal length.
+    blank lines are ignored; all data lines must have equal length.  Lines
+    end at LF, CRLF or a lone CR, as in text mode, and at no other character.
     Coordinates are 0-based, leftmost column first.
     """
     rows: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -10,11 +10,9 @@ Node indices are 0-based everywhere, including file I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import formulas
 from .formulas import WEAK
-from .gf2 import LinearCode
+from .gf2 import LinearCode, _Value
 
 # Maximal node counts by degree; known exactly only up to degree 6.
 _MAX_NODES = {1: 0, 2: 1, 3: 4, 4: 16, 5: 31, 6: 65}
@@ -34,23 +32,22 @@ def b2_resolution(s: int) -> int:
     return s**3 - 4 * s**2 + 6 * s - 2
 
 
-@dataclass(frozen=True)
-class NodalSurface:
+class NodalSurface(_Value):
     """A degree-s surface in projective 3-space with node_count nodes."""
 
     degree: int
     node_count: int
 
-    def __post_init__(self):
-        formulas._require_degree(self.degree)
-        if self.node_count < 0:
-            raise ValueError(f"node count must be nonnegative, got {self.node_count}")
-        s = self.degree
+    def __init__(self, degree, node_count):
+        formulas._require_degree(degree)
+        if node_count < 0:
+            raise ValueError(f"node count must be nonnegative, got {node_count}")
         # Beyond the table, Miyaoka's bound (4/9) s (s-1)^2 (Math. Ann. 268, 1984).
-        limit = max_nodes(s) if s <= 6 else 4 * s * (s - 1) ** 2 // 9
-        if self.node_count > limit:
-            raise ValueError(f"a degree-{s} nodal surface has at most {limit} "
-                             f"nodes, got {self.node_count}")
+        limit = max_nodes(degree) if degree <= 6 else 4 * degree * (degree - 1) ** 2 // 9
+        if node_count > limit:
+            raise ValueError(f"a degree-{degree} nodal surface has at most {limit} "
+                             f"nodes, got {node_count}")
+        vars(self).update(degree=degree, node_count=node_count)
 
 
 def dim_lower_bound(surface: NodalSurface, parity: str) -> int:

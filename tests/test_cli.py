@@ -703,6 +703,23 @@ def test_runs_on_the_standard_library_alone():
     assert json.loads(proc.stdout) == []
 
 
+# Prints which of dataclasses and inspect importing the CLI loads in a fresh
+# interpreter.  Together with ast, dis and tokenize, which they import, they
+# would cost more start-up time than most commands take to run.
+SLOW_IMPORTS = """
+import json, sys
+before = set(sys.modules)
+import evensets.cli
+print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    proc = subprocess.run([sys.executable, "-c", SLOW_IMPORTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 # Placeholders in fuzzed argv, replaced by paths inside a temporary directory
 # and, for FIRST_ROW, by the first line of the matrix file (a codeword when
 # the file is a 0/1 matrix).

@@ -306,7 +306,7 @@ def matrix_texts(draw):
     """(text, rows): equal-length '0'/'1' rows written as a generator-matrix file.
 
     Rows get spaces inside and around them, comment and blank lines come
-    between them, and lines end in LF or CRLF.
+    between them, and lines end in LF, CRLF or a lone CR.
     """
     n = draw(st.integers(1, 20))
     rows = draw(st.lists(st.text("01", min_size=n, max_size=n), min_size=1, max_size=8))
@@ -317,7 +317,7 @@ def matrix_texts(draw):
         pieces = [row[i:j] for i, j in zip([0] + cuts, cuts + [n])]
         pad = st.integers(0, 2).map(" ".__mul__)
         lines.append(draw(pad) + " ".join(pieces) + draw(pad))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from(["", end])), rows
 
 
@@ -352,6 +352,22 @@ class TestParsing:
             gf2.parse_generator_matrix(f"# header\n1100\n{bad}\n")
         assert err.value.line_number == 3
         assert str(err.value) == f"line 3: expected only '0', '1' and spaces, got {bad!r}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("1100\x0c\n12\n", "line 2: expected only '0', '1' and spaces, got '12'"),
+        ("1100\x85\n110\n", "line 2: row has 3 columns, expected 4"),
+        ("11\x0c11\n", "line 1: expected only '0', '1' and spaces, got '11\\x0c11'"),
+    ])
+    def test_only_text_mode_line_ends_end_a_line(self, text, message):
+        # str.splitlines also breaks at a form feed and at \x85; a file read
+        # in text mode, and an editor, do not.
+        with pytest.raises(gf2.GeneratorMatrixParseError) as err:
+            gf2.parse_generator_matrix(text)
+        assert str(err.value) == message
+
+    def test_a_lone_carriage_return_ends_a_line(self):
+        code = gf2.parse_generator_matrix("1100\r0011\n")
+        assert code == LinearCode.from_strings(["1100", "0011"])
 
     @settings(max_examples=200)
     @given(matrix_texts())
