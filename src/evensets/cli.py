@@ -24,7 +24,9 @@ from .formulas import STRICT, WEAK
 
 
 def _load_code(path: str) -> gf2.LinearCode:
-    return gf2.parse_generator_matrix(Path(path).read_text(encoding="utf-8"))
+    # Bytes, not text mode: the parser ends lines at LF, CRLF and a lone CR itself.
+    with open(path, "rb") as f:
+        return gf2.parse_generator_matrix(f.read().decode("utf-8"))
 
 
 def cmd_code_analyze(args) -> tuple[str, dict[str, Any]]:

@@ -8,11 +8,12 @@ LinearCode constructor accepts any spanning row masks and stores their
 reduced row-echelon basis, which makes subspace equality plain value
 equality.
 
-All values are immutable; nothing here mutates shared state.
+All values are immutable; the only shared state is two caches of constant tuples.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator, Sequence
 
 # Largest dimension an exhaustive count may cover, read by enumerate_codewords
@@ -122,6 +123,7 @@ class LinearCode(_Value):
     def __init__(self, length, rows):
         if length < 0:
             raise ValueError(f"negative length {length}")
+        rows = tuple(rows)
         for m in rows:
             if m < 0:
                 raise ValueError(f"negative row mask {m}")
@@ -173,15 +175,16 @@ def enumerate_codewords(code: LinearCode) -> Iterator[int]:
         yield mask
 
 
-def _krawtchouk_row(n: int, i: int) -> list[int]:
-    """[K_0(i), ..., K_n(i)], the coefficients of (1 - z)^i (1 + z)^(n - i).
+@functools.cache
+def _krawtchouk_row(n: int, i: int) -> tuple[int, ...]:
+    """(K_0(i), ..., K_n(i)), the coefficients of (1 - z)^i (1 + z)^(n - i).
 
     (j + 1) K_{j+1} = (n - 2i) K_j - (n - j + 1) K_{j-1}, exact in integers.
     """
     row = [1, n - 2 * i][:n + 1]
     for j in range(1, n):
         row.append(((n - 2 * i) * row[j] - (n - j + 1) * row[j - 1]) // (j + 1))
-    return row
+    return tuple(row)
 
 
 def _macwilliams(n: int, dual_dimension: int, counts: Sequence[int]) -> list[int]:
@@ -231,6 +234,17 @@ def _ripple(a: list[int], b: list[int]) -> list[int]:
     return planes + [carry] if carry else planes
 
 
+@functools.cache
+def _lane_patterns(b: int) -> tuple[int, ...]:
+    """The b lane patterns over 2^b lanes: lane x of pattern r is bit r of x."""
+    patterns, pattern = [], (1 << (1 << b)) - 1
+    for r in reversed(range(b)):
+        # 2^r zeros, 2^r ones, repeated: the blocks of pattern r + 1 halved.
+        pattern ^= pattern >> (1 << r)
+        patterns.append(pattern)
+    return tuple(reversed(patterns))
+
+
 def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> list[int]:
     """counts[w] = number of words of weight w in the span of independent rows.
 
@@ -253,7 +267,8 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
     which spell 2^w - 1 - c, and the offset takes size_b - offset_b - 2^w
     + 1.  Each sum is one _ripple add, m 2^m of them in all.  Lane x of
     plane p of a mid word's entry is bit p of its word's weight less the
-    offset, and the lanes of each weight are found by descending the planes.
+    offset.  Descending the planes splits the lanes by weight; each set
+    carries its size, and a split popcounts only its half with the smaller int.
     """
     k = len(rows)
     if k > ENUMERATION_CAP:
@@ -269,12 +284,8 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
             columns.append(j)
             row ^= 1 << j
     tables = [0] * n
-    pattern = full
-    for r in reversed(range(b)):
-        # Lane x is 1 where bit r of x is: 2^r zeros, 2^r ones, repeated,
-        # made by halving the blocks above, from one block of all 2^b lanes.
-        pattern ^= pattern >> (1 << r)
-        for j in covered[r]:
+    for pattern, columns in zip(_lane_patterns(b), covered):
+        for j in columns:
             tables[j] ^= pattern
     keys = [0] * n
     for t in range(m):
@@ -299,25 +310,27 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
                     entries[x | 1 << t] = (_ripple(pa, [p ^ full for p in pb]),
                                            oa + sb - ob - (1 << len(pb)) + 1, sa + sb)
         for planes, offset, _ in entries:
-            # (lanes, weight so far) for each nonempty set of lanes that
-            # agree on the planes above p; a plane of all ones adds 2^p to
-            # every lane, so it goes into the offset.
-            level = [(full, 0)]
+            # (lanes, their number, weight so far) for each nonempty set of
+            # lanes that agree on the planes above p; a plane of all ones
+            # adds 2^p to every lane, so it goes into the offset.
+            level = [(full, size, 0)]
             for p in reversed(range(len(planes))):
                 plane = planes[p]
                 if plane == full:
                     offset += 1 << p
                 elif plane:
                     split = []
-                    for lanes, w in level:
+                    for lanes, count, w in level:
                         one = lanes & plane
-                        if one == lanes or not one:
-                            split.append((lanes, w + (1 << p) if one else w))
+                        zero = lanes ^ one
+                        if one and zero:
+                            ones = one.bit_count() if one < zero else count - zero.bit_count()
+                            split += (one, ones, w + (1 << p)), (zero, count - ones, w)
                         else:
-                            split += (one, w + (1 << p)), (lanes ^ one, w)
+                            split.append((lanes, count, w + (1 << p) if one else w))
                     level = split
-            for lanes, w in level:
-                counts[w + offset] += lanes.bit_count()
+            for _, count, w in level:
+                counts[w + offset] += count
     return counts
 
 

@@ -165,8 +165,8 @@ def run_full_verification(data_dir: Optional[Path] = None) -> dict[str, Any]:
 
     data = data_dir or Path(__file__).with_name("data")
     for label, expected in (("kummer", kummer), ("togliatti", togliatti)):
-        parsed = gf2.parse_generator_matrix(
-            (data / f"{label}.txt").read_text(encoding="utf-8"))
+        with open(data / f"{label}.txt", "rb") as f:
+            parsed = gf2.parse_generator_matrix(f.read().decode("utf-8"))
         checks.append(_check(f"{label} data file round trip", expected, parsed))
 
     checks.append(_check("griesmer length k=5 d=8", 16, gf2.griesmer_min_length(5, 8)))

@@ -335,6 +335,56 @@ class TestCodeAnalyze:
         assert sha256(out) == REED_MULLER_3_6_DIGEST
 
 
+def text_mode_result(path):
+    """What parsing a text-mode read of the file gives: a code or an error line."""
+    try:
+        return gf2.parse_generator_matrix(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, OSError) as exc:
+        return f"error: {exc}\n"
+
+
+class TestMatrixFileRead:
+    """Matrix files are read as bytes; they parse as a text-mode read does."""
+
+    @pytest.mark.parametrize("ends", [("\n",) * 4, ("\r\n",) * 4, ("\r",) * 4,
+                                      ("\r\n", "\r", "\n", "\r\n"),
+                                      ("\r", "\r\n", "\r\r\n", "")])
+    def test_line_ends_parse_as_in_text_mode(self, tmp_path, ends):
+        lines = ["# header", "1100 11", "0011 00", "1010 10"]
+        path = tmp_path / "matrix.txt"
+        path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
+        code = cli._load_code(str(path))
+        assert code == text_mode_result(path)
+        assert code == gf2.LinearCode.from_strings([line.replace(" ", "") for line in lines[1:]])
+
+    @pytest.mark.parametrize("ends", [("\n", "\n"), ("\r\n", "\r"), ("\r", "\r\r\n")])
+    def test_parse_errors_cite_the_text_mode_line(self, capsys, tmp_path, ends):
+        path = tmp_path / "ragged.txt"
+        path.write_bytes(f"1100{ends[0]}0011{ends[1]}101\n".encode())
+        code, out, err = run_cli(capsys, ["code", "analyze", str(path)])
+        assert (code, out, err) == (2, "", text_mode_result(path))
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    def test_unreadable_files_exit_2_with_the_text_mode_error(self, capsys, tmp_path, kind):
+        path = tmp_path / "matrix.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not utf-8":
+            path.write_bytes(b"1100\n\xff\xfe11\n")
+        expected = text_mode_result(path)
+        assert expected.startswith("error: ")
+        code, out, err = run_cli(capsys, ["code", "analyze", str(path)])
+        assert (code, out, err) == (2, "", expected)
+
+    def test_crlf_data_files_pass_verify_paper(self, capsys, tmp_path):
+        data = resources.files("evensets") / "data"
+        for name in ("kummer.txt", "togliatti.txt"):
+            text = (data / name).read_text(encoding="utf-8")
+            (tmp_path / name).write_bytes(text.replace("\n", "\r\n").encode())
+        code, out, _ = run_cli(capsys, ["verify", "paper", "--data-dir", str(tmp_path)])
+        assert code == 0 and "status: pass" in out
+
+
 class TestCodeProject:
     def test_projection(self, capsys, kummer_file):
         word = "1111111100000000"

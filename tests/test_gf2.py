@@ -80,6 +80,14 @@ class TestLinearCode:
         assert LinearCode(3, (0b011, 0b110)) == LinearCode(3, (0b101, 0b011, 0))
         assert LinearCode(3, (0b011, 0b110)).rows == (0b101, 0b110)
 
+    def test_rows_from_a_generator_equal_the_list_form(self):
+        # A one-shot iterable is read once, for both the mask checks and the RREF.
+        assert LinearCode(4, (m for m in [3, 12])) == LinearCode(4, [3, 12])
+        assert LinearCode(4, (m for m in [3, 12])).rows == (3, 12)
+        with pytest.raises(ValueError) as exc:
+            LinearCode(3, (m for m in [1, 0b1000]))
+        assert str(exc.value) == "row mask 0x8 does not fit in 3 bits"
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError) as exc:
             LinearCode(-1, ())
@@ -737,6 +745,16 @@ class TestSlicedCounts:
         for lane_exponent in (0, 1, 15):
             assert gf2._sliced_counts(n, code.rows, lane_exponent) == expected
 
+    @pytest.mark.parametrize("b", range(9))
+    def test_lane_patterns_hold_the_lane_bits(self, b):
+        patterns = gf2._lane_patterns(b)
+        assert isinstance(patterns, tuple) and len(patterns) == b
+        for r, pattern in enumerate(patterns):
+            assert pattern >> (1 << b) == 0
+            assert [pattern >> x & 1 for x in range(1 << b)] == [x >> r & 1 for x in range(1 << b)]
+        # Built once per lane exponent: repeat calls return the same tuple.
+        assert gf2._lane_patterns(b) is patterns
+
     def test_cap_bounds_the_sliced_dimension(self, monkeypatch):
         monkeypatch.setattr(gf2, "ENUMERATION_CAP", 11)
         eleven = LinearCode(22, tuple(1 << i | 1 << (i + 11) for i in range(11)))
@@ -784,7 +802,12 @@ class TestMacWilliams:
             plus.append(polynomial_product(plus[-1], [1, 1]))
         for n in range(71):
             for i in range(n + 1):
-                assert gf2._krawtchouk_row(n, i) == polynomial_product(minus[i], plus[n - i])
+                assert list(gf2._krawtchouk_row(n, i)) == polynomial_product(minus[i], plus[n - i])
+
+    def test_krawtchouk_rows_are_cached_tuples(self):
+        row = gf2._krawtchouk_row(24, 6)
+        assert isinstance(row, tuple)
+        assert gf2._krawtchouk_row(24, 6) is row
 
     @settings(max_examples=100, deadline=None)
     @given(dual_walks())
