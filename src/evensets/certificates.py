@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, NamedTuple, Optional
 
 from . import formulas, gf2, surfaces
 from .formulas import STRICT, WEAK
@@ -25,8 +24,8 @@ SCHEMA_VERSION = "1"
 
 class Step(gf2._Value):
     rule: str
-    inputs: dict[str, Any]
-    asserted_output: Any
+    inputs: dict[str, object]
+    asserted_output: object
     note: str
 
     def __init__(self, rule, inputs, asserted_output, note=""):
@@ -49,7 +48,7 @@ class ProofCertificate(gf2._Value):
     degree: int
     parity: str
     steps: tuple[Step, ...]
-    conclusion: Any  # GapReport for gap certificates, an integer for dimension ones
+    conclusion: object  # GapReport for gap certificates, an integer for dimension ones
 
     def __init__(self, degree, parity, steps, conclusion):
         vars(self).update(degree=degree, parity=parity, steps=steps, conclusion=conclusion)
@@ -60,15 +59,15 @@ class ProofCertificate(gf2._Value):
     def invalid_steps(self) -> list[int]:
         return [i for i, s in enumerate(self.steps) if not check_step(s)]
 
-    def payload(self) -> dict[str, Any]:
+    def payload(self) -> dict[str, object]:
         """The report's fields before encoding: the schema version and vars(self)."""
         return {"schema_version": SCHEMA_VERSION, **vars(self)}
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return _encode(self.payload())
 
 
-def _encode(value: Any) -> Any:
+def _encode(value: object) -> object:
     """JSON-ready copy of a value, with a deterministic layout.
 
     Walks lists, tuples and dicts, and applies _plain to any other value but
@@ -85,7 +84,7 @@ def _encode(value: Any) -> Any:
     return _encode(_plain(value))
 
 
-def _plain(value: Any) -> Any:
+def _plain(value: object) -> object:
     """One level of the JSON form of a value JSON has no type for.
 
     A Fraction becomes an int when integral, else "p/q"; a LinearCode its
@@ -114,7 +113,7 @@ def _admissible_weights(s: int, parity: str, lower: int, upper: int) -> list[int
     return list(range(lower + (residue - lower) % modulus, upper + 1, modulus))
 
 
-def _h0_lower_bound(inp: dict[str, Any], out: Any) -> bool:
+def _h0_lower_bound(inp: dict[str, object], out: object) -> bool:
     chi_value = Fraction(inp["chi"])
     if inp.get("h2_equals_h0"):
         # chi = 2*h0 - h1 <= 2*h0, so h0 >= ceil(chi / 2).
@@ -122,13 +121,13 @@ def _h0_lower_bound(inp: dict[str, Any], out: Any) -> bool:
     return Fraction(out) == chi_value - inp["h2_bound"]
 
 
-def _griesmer(inp: dict[str, Any], out: Any) -> bool:
+def _griesmer(inp: dict[str, object], out: object) -> bool:
     length = gf2.griesmer_min_length(inp["k"], inp["d"])
     budget = inp.get("length_budget")
     return out == length and (budget is None or length > budget)
 
 
-def _cited(inp: dict[str, Any], out: Any) -> bool:
+def _cited(inp: dict[str, object], out: object) -> bool:
     return True
 
 
@@ -173,12 +172,15 @@ def check_step(step: Step) -> bool:
     return checker(step.inputs, step.asserted_output)
 
 
-class _Case(NamedTuple):
+class _Case(gf2._Value):
     twist: int               # twist at which the forcing chi is evaluated
     h2_mode: str             # "vanishes" | "equals-h0" | "at-most-one"
     cap: int                 # largest admissible weight the argument handles
-    instability: Optional[tuple[int, int]] = None   # (twist, bound)
-    notes: tuple[str, ...] = ()
+    instability: tuple[int, int] | None   # (twist, bound)
+    notes: tuple[str, ...]
+
+    def __init__(self, twist, h2_mode, cap, instability=None, notes=()):
+        vars(self).update(twist=twist, h2_mode=h2_mode, cap=cap, instability=instability, notes=notes)
 
 
 _CASES = {
@@ -269,7 +271,7 @@ def derive_gaps(s: int, parity: str) -> ProofCertificate:
     steps.append(Step(rule="hypothesis", inputs={},
                       asserted_output=True, note=_H2_HYPOTHESES[case.h2_mode]))
     if case.h2_mode == "equals-h0":
-        h0_inputs: dict[str, Any] = {"chi": boundary_chi, "h2_equals_h0": True}
+        h0_inputs: dict[str, object] = {"chi": boundary_chi, "h2_equals_h0": True}
         h0_bound = math.ceil(boundary_chi / 2)
     else:
         h2_bound = 0 if case.h2_mode == "vanishes" else 1

@@ -16,21 +16,13 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import Any, Optional
 
 from . import certificates, formulas, gf2, surfaces, verification
 from .formulas import STRICT, WEAK
 
 
-def _load_code(path: str) -> gf2.LinearCode:
-    # Bytes, not text mode: the parser ends lines at LF, CRLF and a lone CR itself.
-    with open(path, "rb") as f:
-        return gf2.parse_generator_matrix(f.read().decode("utf-8"))
-
-
-def cmd_code_analyze(args) -> tuple[str, dict[str, Any]]:
-    code = _load_code(args.file)
+def cmd_code_analyze(args) -> tuple[str, dict[str, object]]:
+    code = gf2.read_generator_matrix(args.file)
     distribution = gf2.weight_distribution(code)
     payload = {
         "file": args.file,
@@ -45,8 +37,8 @@ def cmd_code_analyze(args) -> tuple[str, dict[str, Any]]:
     return "info", payload
 
 
-def cmd_code_project(args) -> tuple[str, dict[str, Any]]:
-    code = _load_code(args.file)
+def cmd_code_project(args) -> tuple[str, dict[str, object]]:
+    code = gf2.read_generator_matrix(args.file)
     image, kernel_dim = gf2.project_onto_support(code, args.word)
     payload = {
         "file": args.file,
@@ -60,7 +52,7 @@ def cmd_code_project(args) -> tuple[str, dict[str, Any]]:
     return "info", payload
 
 
-def cmd_griesmer(args) -> tuple[str, dict[str, Any]]:
+def cmd_griesmer(args) -> tuple[str, dict[str, object]]:
     if args.k is not None:
         payload = {"k": args.k, "d": args.d,
                    "n_min": gf2.griesmer_min_length(args.k, args.d)}
@@ -70,7 +62,7 @@ def cmd_griesmer(args) -> tuple[str, dict[str, Any]]:
     return "info", payload
 
 
-def cmd_chi(args) -> tuple[str, dict[str, Any]]:
+def cmd_chi(args) -> tuple[str, dict[str, object]]:
     value = formulas.chi(args.degree, args.twist, args.weight)
     payload = {
         "degree": args.degree,
@@ -83,7 +75,7 @@ def cmd_chi(args) -> tuple[str, dict[str, Any]]:
     return "info", payload
 
 
-def cmd_emin(args) -> tuple[str, dict[str, Any]]:
+def cmd_emin(args) -> tuple[str, dict[str, object]]:
     if args.weak:
         value = formulas.e_bar_min(args.degree)
     else:
@@ -94,12 +86,12 @@ def cmd_emin(args) -> tuple[str, dict[str, Any]]:
     return "info", payload
 
 
-def cmd_gaps(args) -> tuple[str, dict[str, Any]]:
+def cmd_gaps(args) -> tuple[str, dict[str, object]]:
     cert = certificates.derive_gaps(args.degree, args.parity)
     return "pass" if cert.validate() else "fail", cert.payload()
 
 
-def cmd_surface_bounds(args) -> tuple[str, dict[str, Any]]:
+def cmd_surface_bounds(args) -> tuple[str, dict[str, object]]:
     surface = surfaces.NodalSurface(args.degree, args.nodes)
     even_degree = args.degree % 2 == 0
     payload = {
@@ -116,13 +108,12 @@ def cmd_surface_bounds(args) -> tuple[str, dict[str, Any]]:
     return "info", payload
 
 
-def cmd_verify_paper(args) -> tuple[str, dict[str, Any]]:
-    data_dir = Path(args.data_dir) if args.data_dir is not None else None
-    sweep = verification.run_full_verification(data_dir)
+def cmd_verify_paper(args) -> tuple[str, dict[str, object]]:
+    sweep = verification.run_full_verification(args.data_dir)
     return "pass" if sweep["pass"] else "fail", sweep
 
 
-def _render_text(report: dict[str, Any]) -> str:
+def _render_text(report: dict[str, object]) -> str:
     lines = [f"command: {report['command']}", f"status: {report['status']}"]
     payload = report["payload"]
     if "checks" in payload:
@@ -147,7 +138,7 @@ def _render_text(report: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json(value: Any, newline: str, out: list[str]) -> None:
+def _write_json(value: object, newline: str, out: list[str]) -> None:
     """Append json.dumps(value, sort_keys=True, indent=2, default=_plain)'s text to out.
 
     json's C encoder runs only when indent is None.  Values other than str,
@@ -183,7 +174,7 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
         _write_json(certificates._plain(value), newline, out)
 
 
-def _emit(report: dict[str, Any], args) -> int:
+def _emit(report: dict[str, object], args) -> int:
     if args.json:
         out: list[str] = []
         _write_json(report, "\n", out)
@@ -191,7 +182,8 @@ def _emit(report: dict[str, Any], args) -> int:
     else:
         text = _render_text(report)
     if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     return 0 if report["status"] in ("pass", "info") else 1
@@ -292,7 +284,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     # The parsed path names both the command ("code analyze") and its handler
     # (cmd_code_analyze), looked up at call time; each cmd_* returns

@@ -3,10 +3,10 @@
 A word of a code of length n is an int mask below 2^n (bit j of the mask is
 coordinate j, so coordinate 0 is the least significant bit).  Its only
 outside form is a '0'/'1' string with coordinate 0 leftmost, read by
-parse_bits and written by bit_string.  Codes are subspaces of GF(2)^n.  The
-LinearCode constructor accepts any spanning row masks and stores their
-reduced row-echelon basis, which makes subspace equality plain value
-equality.
+parse_bits and parse_generator_matrix (files by read_generator_matrix) and
+written by bit_string.  Codes are subspaces of GF(2)^n.  The LinearCode
+constructor accepts any spanning row masks and stores their reduced
+row-echelon basis, which makes subspace equality plain value equality.
 
 All values are immutable; the only shared state is two caches of constant tuples.
 """
@@ -476,3 +476,9 @@ def parse_generator_matrix(text: str) -> LinearCode:
     if not rows:
         raise GeneratorMatrixParseError("no data rows found")
     return LinearCode(len(rows[0]), tuple(int(row[::-1], 2) for row in rows))
+
+
+def read_generator_matrix(path: str) -> LinearCode:
+    """Parse the matrix file at path as UTF-8 bytes; the parser, not text mode, ends lines."""
+    with open(path, "rb") as f:
+        return parse_generator_matrix(f.read().decode("utf-8"))

@@ -9,8 +9,7 @@ canonical encodings.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Optional
+import os
 
 from . import certificates, formulas, gf2, surfaces
 from .formulas import STRICT
@@ -65,14 +64,14 @@ QUARTIC_COHOMOLOGY_TABLE = (
 )
 
 
-def _check(name: str, expected: Any, actual: Any,
-           passed: Optional[bool] = None) -> dict[str, Any]:
+def _check(name: str, expected: object, actual: object,
+           passed: bool | None = None) -> dict[str, object]:
     """One check; it passes when expected == actual unless a verdict is given."""
     return {"name": name, "expected": expected, "actual": actual,
             "pass": expected == actual if passed is None else passed}
 
 
-def _report(name: str, checks: list[dict[str, Any]]) -> dict[str, Any]:
+def _report(name: str, checks: list[dict[str, object]]) -> dict[str, object]:
     return {
         "name": name,
         "checks": checks,
@@ -85,7 +84,7 @@ def _proven_pairs() -> list[tuple[int, str]]:
             for s in degrees]
 
 
-def verify_theorem_main() -> dict[str, Any]:
+def verify_theorem_main() -> dict[str, object]:
     """Compare each derived minimal weight with the closed form."""
     checks = []
     for s, parity in _proven_pairs():
@@ -97,7 +96,7 @@ def verify_theorem_main() -> dict[str, Any]:
     return _report("theorem-main", checks)
 
 
-def verify_corollary_gaps() -> dict[str, Any]:
+def verify_corollary_gaps() -> dict[str, object]:
     """Compare derived excluded weights with the gap table, cell by cell."""
     checks = []
     for (s, parity), expected in sorted(certificates.GAP_TABLE.items(),
@@ -108,7 +107,7 @@ def verify_corollary_gaps() -> dict[str, Any]:
     return _report("corollary-gaps", checks)
 
 
-def verify_concluding_table() -> dict[str, Any]:
+def verify_concluding_table() -> dict[str, object]:
     """Consistency checks for the realized strictly-even weight table."""
     checks = []
     for s, weights in sorted(KNOWN_STRICT_WEIGHTS.items()):
@@ -123,7 +122,7 @@ def verify_concluding_table() -> dict[str, Any]:
     return _report("concluding-table", checks)
 
 
-def verify_example_cohomology_tables() -> dict[str, Any]:
+def verify_example_cohomology_tables() -> dict[str, object]:
     """chi must equal h0 - h1 + h2 in every quartic cohomology table row."""
     checks = []
     for w, v, h0, h1, h2 in QUARTIC_COHOMOLOGY_TABLE:
@@ -133,7 +132,7 @@ def verify_example_cohomology_tables() -> dict[str, Any]:
 
 
 def _code_checks(label: str, code: gf2.LinearCode, n: int, k: int, d: int,
-                 distribution: dict[int, int]) -> list[dict[str, Any]]:
+                 distribution: dict[int, int]) -> list[dict[str, object]]:
     return [
         _check(f"{label} length", n, code.length),
         _check(f"{label} dimension", k, code.dimension),
@@ -147,9 +146,9 @@ def _code_checks(label: str, code: gf2.LinearCode, n: int, k: int, d: int,
     ]
 
 
-def run_full_verification(data_dir: Optional[Path] = None) -> dict[str, Any]:
+def run_full_verification(data_dir: str | None = None) -> dict[str, object]:
     """Run every pinned check; data_dir overrides the bundled matrix files."""
-    checks: list[dict[str, Any]] = []
+    checks: list[dict[str, object]] = []
 
     kummer = surfaces.kummer_code()
     togliatti = surfaces.togliatti_code()
@@ -163,10 +162,10 @@ def run_full_verification(data_dir: Optional[Path] = None) -> dict[str, Any]:
         gf2.weight_distribution(surfaces.togliatti_simplex_construction()),
     ))
 
-    data = data_dir or Path(__file__).with_name("data")
+    if data_dir is None:
+        data_dir = os.path.join(os.path.dirname(__file__), "data")
     for label, expected in (("kummer", kummer), ("togliatti", togliatti)):
-        with open(data / f"{label}.txt", "rb") as f:
-            parsed = gf2.parse_generator_matrix(f.read().decode("utf-8"))
+        parsed = gf2.read_generator_matrix(os.path.join(data_dir, f"{label}.txt"))
         checks.append(_check(f"{label} data file round trip", expected, parsed))
 
     checks.append(_check("griesmer length k=5 d=8", 16, gf2.griesmer_min_length(5, 8)))

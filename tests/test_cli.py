@@ -353,7 +353,7 @@ class TestMatrixFileRead:
         lines = ["# header", "1100 11", "0011 00", "1010 10"]
         path = tmp_path / "matrix.txt"
         path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
-        code = cli._load_code(str(path))
+        code = gf2.read_generator_matrix(str(path))
         assert code == text_mode_result(path)
         assert code == gf2.LinearCode.from_strings([line.replace(" ", "") for line in lines[1:]])
 
@@ -646,11 +646,20 @@ class TestOutputHandling:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv", [["verify", "paper"],
+                                      ["--json", "gaps", "--degree", "8", "--parity", "weak"]])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        target = tmp_path / "report"
+        _, stdout, _ = run_cli(capsys, argv)
+        code, out, _ = run_cli(capsys, ["--output", str(target)] + argv)
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == stdout.encode("utf-8")
+
     def test_empty_output_is_not_ignored(self, capsys):
         code, out, err = run_cli(capsys, ["--output", "", "emin", "--degree", "4"])
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
 
     def test_text_and_json_agree_numerically(self, capsys):
         argv = ["surface", "bounds", "--degree", "4", "--nodes", "16"]
@@ -753,21 +762,31 @@ def test_runs_on_the_standard_library_alone():
     assert json.loads(proc.stdout) == []
 
 
-# Prints which of dataclasses and inspect importing the CLI loads in a fresh
-# interpreter.  Together with ast, dis and tokenize, which they import, they
-# would cost more start-up time than most commands take to run.
+# Prints which slow modules importing the CLI loads in a fresh interpreter,
+# beyond what the stdlib modules the package needs load there, which varies
+# by Python version.  dataclasses and inspect pull in ast, dis and tokenize,
+# and pathlib pulls in urllib.parse and ipaddress; each costs more start-up
+# time than most commands take to run.  argv[1] holds the package directory.
 SLOW_IMPORTS = """
 import json, sys
+sys.path.insert(0, sys.argv[1])
+import argparse, fractions, functools, math
 before = set(sys.modules)
 import evensets.cli
-print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+slow = {"dataclasses", "inspect", "typing", "pathlib", "urllib", "ipaddress"}
+print(json.dumps(sorted(slow & (set(sys.modules) - before))))
 """
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    proc = subprocess.run([sys.executable, "-c", SLOW_IMPORTS], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    # -S as well: a .pth file in site-packages may import typing or pathlib
+    # before the script starts, which would hide them from the check.
+    package_dir = str(Path(cli.__file__).parent.parent)
+    for flags in ([], ["-S"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", SLOW_IMPORTS, package_dir],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [], flags
 
 
 # Placeholders in fuzzed argv, replaced by paths inside a temporary directory
