@@ -245,8 +245,8 @@ def _lane_patterns(b: int) -> tuple[int, ...]:
     return tuple(reversed(patterns))
 
 
-def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> list[int]:
-    """counts[w] = number of words of weight w in the span of independent rows.
+def _sliced_sums(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> Iterator:
+    """One bit-sliced pass over the span of independent rows: its weights, as lane sums.
 
     Bit-sliced (Biham, FSE 1997): the low b = min(k, lane_exponent) rows
     span 2^b words held side by side, lane x holding the word whose bit r of
@@ -265,18 +265,17 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
     the words with bit t set.  The complement size_b - offset_b - c, where
     b's w planes spell c, enters as those planes XORed with all ones,
     which spell 2^w - 1 - c, and the offset takes size_b - offset_b - 2^w
-    + 1.  Each sum is one _ripple add, m 2^m of them in all.  Lane x of
-    plane p of a mid word's entry is bit p of its word's weight less the
-    offset.  Descending the planes splits the lanes by weight; each set
-    carries its size, and a split popcounts only its half with the smaller int.
+    + 1.  Each sum is one _ripple add, m 2^m of them in all.  Yields
+    (planes, offset, full) per mid word per outer step: lane x weighs offset
+    (maybe negative) plus the number the planes spell there, full has every
+    lane set, and lane 0 of the first entry is the zero word.
     """
     k = len(rows)
     if k > ENUMERATION_CAP:
         raise EnumerationCapError(k)
     b = min(k, lane_exponent)
     m = min(_MID_ROWS, k - b)
-    size = 1 << b
-    full = (1 << size) - 1
+    full = (1 << (1 << b)) - 1
     covered = [[] for _ in rows]
     for columns, row in zip(covered, rows):
         while row:
@@ -294,7 +293,6 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
     groups: dict[int, list[int]] = {}
     for j, key in enumerate(keys):
         groups.setdefault(key, []).append(j)
-    counts = [0] * (n + 1)
     for i in range(1 << (k - b - m)):
         if i:
             for j in covered[b + m + (i & -i).bit_length() - 1]:
@@ -310,28 +308,62 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
                     entries[x | 1 << t] = (_ripple(pa, [p ^ full for p in pb]),
                                            oa + sb - ob - (1 << len(pb)) + 1, sa + sb)
         for planes, offset, _ in entries:
-            # (lanes, their number, weight so far) for each nonempty set of
-            # lanes that agree on the planes above p; a plane of all ones
-            # adds 2^p to every lane, so it goes into the offset.
-            level = [(full, size, 0)]
-            for p in reversed(range(len(planes))):
-                plane = planes[p]
-                if plane == full:
-                    offset += 1 << p
-                elif plane:
-                    split = []
-                    for lanes, count, w in level:
-                        one = lanes & plane
-                        zero = lanes ^ one
-                        if one and zero:
-                            ones = one.bit_count() if one < zero else count - zero.bit_count()
-                            split += (one, ones, w + (1 << p)), (zero, count - ones, w)
-                        else:
-                            split.append((lanes, count, w + (1 << p) if one else w))
-                    level = split
-            for _, count, w in level:
-                counts[w + offset] += count
+            yield planes, offset, full
+
+
+def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> list[int]:
+    """counts[w] = number of words of weight w in the span of independent rows."""
+    counts = [0] * (n + 1)
+    for planes, offset, full in _sliced_sums(n, rows, lane_exponent):
+        # (lanes, their number, weight so far) for each nonempty set of lanes
+        # that agree on the planes above p.  A split popcounts only its half
+        # with the smaller int; a plane of all ones goes into the offset.
+        level = [(full, full.bit_length(), 0)]
+        for p in reversed(range(len(planes))):
+            plane = planes[p]
+            if plane == full:
+                offset += 1 << p
+            elif plane:
+                split = []
+                for lanes, count, w in level:
+                    one = lanes & plane
+                    zero = lanes ^ one
+                    if one and zero:
+                        ones = one.bit_count() if one < zero else count - zero.bit_count()
+                        split += (one, ones, w + (1 << p)), (zero, count - ones, w)
+                    else:
+                        split.append((lanes, count, w + (1 << p) if one else w))
+                level = split
+        for _, count, w in level:
+            counts[w + offset] += count
     return counts
+
+
+def _sliced_minimum(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> int:
+    """Least nonzero weight in the span of k >= 1 independent rows, one branch per entry."""
+    least = n
+    for i, (planes, offset, full) in enumerate(_sliced_sums(n, rows, lane_exponent)):
+        if lanes := full if i else full ^ 1:  # lane 0 of entry 0 is the zero word
+            for p in reversed(range(len(planes))):  # the lanes clear at p, else all + 2^p
+                clear = lanes & ~planes[p]
+                lanes, offset = clear or lanes, offset + ((not clear) << p)
+            least = min(least, offset)
+    return least
+
+
+def _sliced_parity(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> str:
+    """classify_parity of the span of independent rows, from planes 0 and 1 alone.
+
+    A lane is odd where plane 0 is not the offset's bit 0.  With all even, bit
+    0 carries: 0 mod 4 where plane 1 is the offset's bit 1 XOR bit 0.
+    """
+    doubly = True
+    for planes, offset, full in _sliced_sums(n, rows, lane_exponent):
+        low, second, *_ = planes + [0, 0]
+        if low ^ (full if offset & 1 else 0):
+            return "not-even"
+        doubly = doubly and second == (full if (offset ^ offset >> 1) & 1 else 0)
+    return "doubly-even" if doubly else "even"
 
 
 def _weight_counts(code: LinearCode) -> list[int]:
@@ -341,6 +373,8 @@ def _weight_counts(code: LinearCode) -> list[int]:
     its counts are mapped back by _macwilliams.  A dimension below
     _SLICED_FROM is walked word by word through enumerate_codewords; a
     larger one is bit-sliced.  The cap applies to the dimension counted.
+    When the code itself is bit-sliced, minimum_distance and classify_parity make
+    their own pass and read one branch of its planes, or planes 0 and 1, alone.
     """
     n, k = code.length, code.dimension
     walked = dual_code(code) if n - k < k else code
@@ -359,11 +393,12 @@ def weight_distribution(code: LinearCode) -> dict[int, int]:
 
 
 def minimum_distance(code: LinearCode) -> int:
-    """Minimum weight over nonzero codewords."""
+    """Minimum weight over nonzero codewords (see _weight_counts for how it is found)."""
     if code.dimension == 0:
         raise ValueError("the zero code has no nonzero words")
-    counts = _weight_counts(code)
-    return next(w for w in range(1, len(counts)) if counts[w])
+    if _SLICED_FROM <= code.dimension <= code.length - code.dimension:
+        return _sliced_minimum(code.length, code.rows)
+    return next(w for w, c in enumerate(_weight_counts(code)) if w and c)
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -382,14 +417,14 @@ def dual_code(code: LinearCode) -> LinearCode:
 def classify_parity(code: LinearCode) -> str:
     """Strongest of 'doubly-even', 'even', 'not-even' holding for all codewords.
 
-    Read off the exact weight counts rather than the generator criterion, so
-    it stays an independent witness for the self-orthogonality theorems the
-    test suite validates.
+    Read off the exact weights (counts, or lane sums: see _weight_counts)
+    rather than the generator criterion, so it stays an independent witness
+    for the self-orthogonality theorems the test suite validates.
     """
-    weights = [w for w, c in enumerate(_weight_counts(code)) if c]
-    if any(w % 2 for w in weights):
-        return "not-even"
-    return "doubly-even" if all(w % 4 == 0 for w in weights) else "even"
+    if _SLICED_FROM <= code.dimension <= code.length - code.dimension:
+        return _sliced_parity(code.length, code.rows)
+    residues = {w % 4 for w, c in enumerate(_weight_counts(code)) if c}
+    return "not-even" if residues & {1, 3} else "even" if 2 in residues else "doubly-even"
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:

@@ -574,6 +574,23 @@ def walked_counts(code: LinearCode) -> list[int]:
     return counts
 
 
+def parity_of(counts: list[int]) -> str:
+    """classify_parity's answer for these weight counts."""
+    weights = [w for w, c in enumerate(counts) if c]
+    return ("not-even" if any(w % 2 for w in weights)
+            else "even" if any(w % 4 for w in weights) else "doubly-even")
+
+
+def check_readers(code: LinearCode, rows: tuple[int, ...], lane_exponent: int) -> None:
+    """The count, minimum and parity readers of a sliced pass against the walk."""
+    counts = walked_counts(code)
+    assert gf2._sliced_counts(code.length, rows, lane_exponent) == counts
+    assert gf2._sliced_parity(code.length, rows, lane_exponent) == parity_of(counts)
+    if code.dimension:
+        least = next(w for w in range(1, len(counts)) if counts[w])
+        assert gf2._sliced_minimum(code.length, rows, lane_exponent) == least
+
+
 @st.composite
 def sliced_cases(draw):
     """(code, basis in counting order, lane exponent) for every tier of the count.
@@ -705,8 +722,7 @@ class TestSlicedCounts:
     @settings(max_examples=150, deadline=None)
     @given(sliced_cases())
     def test_matches_the_walk(self, case):
-        code, rows, lane_exponent = case
-        assert gf2._sliced_counts(code.length, rows, lane_exponent) == walked_counts(code)
+        check_readers(*case)
 
     @settings(max_examples=30, deadline=None)
     @given(wide_walk_codes())
@@ -717,21 +733,50 @@ class TestSlicedCounts:
         weights = [w for w, c in enumerate(counts) if c]
         assert gf2.weight_distribution(code) == {w: counts[w] for w in weights}
         assert gf2.minimum_distance(code) == weights[1]
-        assert gf2.classify_parity(code) == (
-            "not-even" if any(w % 2 for w in weights)
-            else "even" if any(w % 4 for w in weights) else "doubly-even")
+        assert gf2.classify_parity(code) == parity_of(counts)
 
     @settings(max_examples=40, deadline=None)
     @given(deep_cases())
     def test_eight_planes_match_the_walk(self, case):
         code, lane_exponent = case
-        assert gf2._sliced_counts(code.length, code.rows, lane_exponent) == walked_counts(code)
+        check_readers(code, code.rows, lane_exponent)
 
     @settings(max_examples=150, deadline=None)
     @given(full_mid_cases())
     def test_full_mid_tier_matches_the_walk(self, case):
-        code, rows, lane_exponent = case
-        assert gf2._sliced_counts(code.length, rows, lane_exponent) == walked_counts(code)
+        check_readers(*case)
+
+    def test_parity_carries_an_odd_offset_into_bit_1(self):
+        # Three columns, each repeated four times: two low rows of weight 4
+        # and a mid row of weight 12, so every word weighs 0 mod 4.  The mid
+        # word complements the one group of 12 columns, so its entry's
+        # offset is 12 - 16 + 1 = -3, and its lanes spell 15, 11, 11 and 7:
+        # planes 0 and 1 all ones, which is doubly-even only because
+        # bit 0 of the offset carries into bit 1.
+        columns = [c for c in (0b101, 0b110, 0b100) for _ in range(4)]
+        rows = tuple(sum(1 << j for j, c in enumerate(columns) if c >> r & 1) for r in range(3))
+        full = 0b1111
+        assert [(planes[:2], offset) for planes, offset, _ in gf2._sliced_sums(12, rows, 2)] == [
+            ([0, 0], 0), ([full, full], -3)]
+        assert gf2._sliced_parity(12, rows, 2) == "doubly-even"
+        assert gf2._sliced_minimum(12, rows, 2) == 4
+
+    def test_parity_reads_every_entry(self):
+        # Lanes over rows 0 and 1, both of weight 2; row 2 is odd, so the
+        # first entry is all even and every odd word lies in the second.
+        rows = (0b11, 0b1100, 0b10000)
+        for lane_exponent in (0, 1, 2):
+            assert gf2._sliced_parity(5, rows, lane_exponent) == "not-even"
+        assert gf2._sliced_parity(4, rows[:2], 2) == "even"
+
+    def test_minimum_reads_lane_0_of_later_entries(self):
+        # The lightest nonzero word is row 2 alone (weight 1): lane 0 of the
+        # second entry, and the only lane 0 the minimum must skip is the
+        # first entry's, the zero word.
+        rows = (0b111, 0b111000, 0b1000000)
+        for lane_exponent in (0, 1, 2):
+            assert gf2._sliced_minimum(7, rows, lane_exponent) == 1
+        assert gf2._sliced_minimum(6, rows[:2], 2) == 3
 
     @pytest.mark.parametrize("n", [(1 << d) - e for d in range(5, 9) for e in (1, 0)])
     def test_repetition_code_carries_into_the_top_plane(self, n):
@@ -744,6 +789,9 @@ class TestSlicedCounts:
         # its one group, which enters complemented for the word of weight n.
         for lane_exponent in (0, 1, 15):
             assert gf2._sliced_counts(n, code.rows, lane_exponent) == expected
+            # At lane exponent 0 the first entry has no lane but the zero word.
+            assert gf2._sliced_minimum(n, code.rows, lane_exponent) == n
+            assert gf2._sliced_parity(n, code.rows, lane_exponent) == parity_of(expected)
 
     @pytest.mark.parametrize("b", range(9))
     def test_lane_patterns_hold_the_lane_bits(self, b):
@@ -765,17 +813,24 @@ class TestSlicedCounts:
         assert str(exc.value) == "refusing to enumerate 2^12 codewords (cap is 2^11)"
 
     def test_walked_dimension_picks_the_path(self, monkeypatch):
-        walks = []
-        walk = gf2.enumerate_codewords
+        walks, passes = [], []
+        walk, sliced = gf2.enumerate_codewords, gf2._sliced_sums
         monkeypatch.setattr(gf2, "enumerate_codewords",
                             lambda code: walks.append(code.dimension) or walk(code))
+        monkeypatch.setattr(gf2, "_sliced_sums",
+                            lambda n, rows, e: passes.append(len(rows)) or sliced(n, rows, e))
         # [16, 8] walks the code, [18, 9] slices it, and [20, 11] slices
-        # its 9-dimensional dual.
-        for n, k in ((16, 8), (18, 9), (20, 11)):
+        # its 9-dimensional dual.  Each statistic makes its own pass.
+        for (n, k), walked, sliced_passes in (((16, 8), [8] * 3, []), ((18, 9), [], [9] * 3),
+                                              ((20, 11), [], [9] * 3)):
+            walks.clear()
+            passes.clear()
             code = LinearCode(n, tuple(1 << i | 1 << (k + i % (n - k)) for i in range(k)))
             assert code.dimension == k
             gf2.weight_distribution(code)
-        assert walks == [8]
+            gf2.minimum_distance(code)
+            gf2.classify_parity(code)
+            assert (walks, passes) == (walked, sliced_passes)
 
 
 def polynomial_product(p: list[int], q: list[int]) -> list[int]:
