@@ -14,6 +14,7 @@ All values are immutable; the only shared state is two caches of constant tuples
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 # Largest dimension an exhaustive count may cover, read by enumerate_codewords
@@ -196,17 +197,21 @@ def _macwilliams(n: int, dual_dimension: int, counts: Sequence[int]) -> list[int
     return [sum(column) >> dual_dimension for column in zip(*terms)]
 
 
-def _carry_save(bits: list[int]) -> list[int]:
-    """Bit planes of the lane-wise sum of the given ints; consumes the list.
+def _carry_save(bits: list[int], top: int | None = None) -> list[int]:
+    """Bit planes 0..top-1 (all if top is None) of the lane-wise sum of the ints; consumes them.
 
     A carry-save reduction (Harley-Seal, as in Muła, Kurz & Lemire, Comput.
     J. 61, 2018): a full adder turns three bits of a plane into a sum bit
     there and a carry bit for the next plane, a leftover pair takes a zero
     third bit, and the carries are reduced likewise into the next plane.
-    s ints give s.bit_length() planes.
+    s ints give s.bit_length() planes.  Plane top - 1 is the XOR of the ints
+    left, making no carries: the planes spell each lane's sum mod 2^top.
     """
     planes: list[int] = []
     while bits:
+        if len(planes) + 1 == top:
+            planes.append(functools.reduce(operator.xor, bits))
+            break
         carries = []
         while len(bits) > 1:
             x, y = bits.pop(), bits.pop()
@@ -219,8 +224,8 @@ def _carry_save(bits: list[int]) -> list[int]:
     return planes
 
 
-def _ripple(a: list[int], b: list[int]) -> list[int]:
-    """Bit planes of the lane-wise sum of the numbers spelt by planes a and b (ripple carry)."""
+def _ripple(a: list[int], b: list[int], top: int | None = None) -> list[int]:
+    """Planes 0..top-1 (all if top is None) of the lane sums of the numbers a and b spell."""
     if len(a) < len(b):
         a, b = b, a
     planes, carry = [], 0
@@ -231,7 +236,7 @@ def _ripple(a: list[int], b: list[int]) -> list[int]:
     for x in a[len(b):]:
         planes.append(x ^ carry)
         carry &= x
-    return planes + [carry] if carry else planes
+    return (planes + [carry] if carry else planes)[:top]
 
 
 @functools.cache
@@ -245,7 +250,8 @@ def _lane_patterns(b: int) -> tuple[int, ...]:
     return tuple(reversed(patterns))
 
 
-def _sliced_sums(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> Iterator:
+def _sliced_sums(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT,
+                 top: int | None = None) -> Iterator:
     """One bit-sliced pass over the span of independent rows: its weights, as lane sums.
 
     Bit-sliced (Biham, FSE 1997): the low b = min(k, lane_exponent) rows
@@ -268,7 +274,10 @@ def _sliced_sums(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONEN
     + 1.  Each sum is one _ripple add, m 2^m of them in all.  Yields
     (planes, offset, full) per mid word per outer step: lane x weighs offset
     (maybe negative) plus the number the planes spell there, full has every
-    lane set, and lane 0 of the first entry is the zero word.
+    lane set, and lane 0 of the first entry is the zero word.  With top set,
+    both adders keep planes 0..top-1 alone: a lane's planes spell its sum
+    mod 2^top (a complement spells 2^w - 1 - c, w <= top, exact mod 2^top),
+    and the offsets stay exact.
     """
     k = len(rows)
     if k > ENUMERATION_CAP:
@@ -299,13 +308,13 @@ def _sliced_sums(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONEN
                 tables[j] ^= full
         entries = [([], 0, 0)] * (1 << m)
         for key, columns in groups.items():
-            entries[key] = (_carry_save([tables[j] for j in columns]), 0, len(columns))
+            entries[key] = (_carry_save([tables[j] for j in columns], top), 0, len(columns))
         for t in range(m):
             for x in range(1 << m):
                 if not x >> t & 1:
                     (pa, oa, sa), (pb, ob, sb) = entries[x], entries[x | 1 << t]
-                    entries[x] = (_ripple(pa, pb), oa + ob, sa + sb)
-                    entries[x | 1 << t] = (_ripple(pa, [p ^ full for p in pb]),
+                    entries[x] = (_ripple(pa, pb, top), oa + ob, sa + sb)
+                    entries[x | 1 << t] = (_ripple(pa, [p ^ full for p in pb], top),
                                            oa + sb - ob - (1 << len(pb)) + 1, sa + sb)
         for planes, offset, _ in entries:
             yield planes, offset, full
@@ -340,25 +349,28 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
 
 
 def _sliced_minimum(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> int:
-    """Least nonzero weight in the span of k >= 1 independent rows, one branch per entry."""
+    """Least nonzero weight in the span of k >= 1 independent rows, one branch per entry.
+
+    The lanes clear at a plane are lanes ^ lanes & plane: no negative 2^b-bit ~plane.
+    """
     least = n
     for i, (planes, offset, full) in enumerate(_sliced_sums(n, rows, lane_exponent)):
         if lanes := full if i else full ^ 1:  # lane 0 of entry 0 is the zero word
             for p in reversed(range(len(planes))):  # the lanes clear at p, else all + 2^p
-                clear = lanes & ~planes[p]
+                clear = lanes ^ lanes & planes[p]
                 lanes, offset = clear or lanes, offset + ((not clear) << p)
             least = min(least, offset)
     return least
 
 
 def _sliced_parity(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> str:
-    """classify_parity of the span of independent rows, from planes 0 and 1 alone.
+    """classify_parity of the span of independent rows, from a pass summed mod 4 (top 2).
 
     A lane is odd where plane 0 is not the offset's bit 0.  With all even, bit
     0 carries: 0 mod 4 where plane 1 is the offset's bit 1 XOR bit 0.
     """
     doubly = True
-    for planes, offset, full in _sliced_sums(n, rows, lane_exponent):
+    for planes, offset, full in _sliced_sums(n, rows, lane_exponent, 2):
         low, second, *_ = planes + [0, 0]
         if low ^ (full if offset & 1 else 0):
             return "not-even"

@@ -715,6 +715,44 @@ class TestAdders:
         for x in range(lanes):
             assert spelt(planes, x) == spelt(a, x) + spelt(b, x)
 
+    @settings(max_examples=200)
+    @given(lane_ints(1, 1, 70), st.integers(1, 3))
+    @example((1, [1, 1, 1, 1]), 2)  # 4 = 0b100: the carry into plane 2 is dropped
+    def test_carry_save_below_top_spells_each_lane_sum_mod_2_to_the_top(self, case, top):
+        lanes, bits = case
+        planes = gf2._carry_save(list(bits), top)
+        assert len(planes) == min(top, len(bits).bit_length())
+        for x in range(lanes):
+            assert spelt(planes, x) == sum(b >> x & 1 for b in bits) % (1 << top)
+
+    @settings(max_examples=200)
+    @given(lane_ints(2, 0, 4), st.integers(1, 3))
+    @example((4, [0b1111, 0b1010], [0b0110, 0b0011]), 2)  # lane 1: 3 + 3 carries into plane 2
+    @example((2, [0b11, 0b11, 0b11], [0b10]), 3)  # lane 1: 7 + 1 carries into plane 3
+    def test_ripple_below_top_spells_each_lane_sum_mod_2_to_the_top(self, case, top):
+        lanes, a, b = case
+        planes = gf2._ripple(a, b, top)
+        assert len(planes) <= top
+        for x in range(lanes):
+            assert spelt(planes, x) == (spelt(a, x) + spelt(b, x)) % (1 << top)
+
+
+def mod_4(planes: list[int], offset: int, full: int) -> tuple[int, int]:
+    """Planes 0 and 1 of offset plus the number the planes spell, in every lane."""
+    low, second = (planes + [0, 0])[:2]
+    bit_0, bit_1 = (full if offset & 1 else 0), (full if offset & 2 else 0)
+    return low ^ bit_0, second ^ bit_1 ^ low & bit_0
+
+
+def check_mod_4_pass(n: int, rows: tuple[int, ...], lane_exponent: int) -> None:
+    """The pass at top 2 against the full pass: each lane's weight agrees mod 4."""
+    whole = list(gf2._sliced_sums(n, rows, lane_exponent))
+    truncated = list(gf2._sliced_sums(n, rows, lane_exponent, 2))
+    assert len(truncated) == len(whole)
+    for (planes, offset, full), (low, low_offset, low_full) in zip(whole, truncated):
+        assert low_full == full and len(low) <= 2
+        assert mod_4(low, low_offset, full) == mod_4(planes, offset, full)
+
 
 class TestSlicedCounts:
     """The bit-sliced count against the Gray walk, which stays the reference."""
@@ -746,6 +784,25 @@ class TestSlicedCounts:
     def test_full_mid_tier_matches_the_walk(self, case):
         check_readers(*case)
 
+    @settings(max_examples=200, deadline=None)
+    @given(sliced_cases() | full_mid_cases()
+           | deep_cases().map(lambda case: (case[0], case[0].rows, case[1])))
+    def test_mod_4_pass_agrees_with_the_full_pass(self, case):
+        code, rows, lane_exponent = case
+        check_mod_4_pass(code.length, rows, lane_exponent)
+
+    def test_mod_4_pass_at_lane_exponent_0_and_on_a_one_column_group(self):
+        # Lane exponent 0: every row is a mid or outer row, and each entry
+        # holds one lane.
+        for n, rows in ((5, (0b11, 0b1100, 0b10000)), (32, ((1 << 32) - 1,))):
+            check_mod_4_pass(n, rows, 0)
+        # Column 2 alone has key 1, so its group enters complemented with
+        # w = 1 plane, below top: 2^1 - 1 - c spells the complement unpadded.
+        rows = (0b011, 0b100)
+        check_mod_4_pass(3, rows, 1)
+        assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(3, rows, 1, 2)] == [
+            ([0, 0b10], 0), ([0b11, 0b10], 0)]
+
     def test_parity_carries_an_odd_offset_into_bit_1(self):
         # Three columns, each repeated four times: two low rows of weight 4
         # and a mid row of weight 12, so every word weighs 0 mod 4.  The mid
@@ -758,6 +815,11 @@ class TestSlicedCounts:
         full = 0b1111
         assert [(planes[:2], offset) for planes, offset, _ in gf2._sliced_sums(12, rows, 2)] == [
             ([0, 0], 0), ([full, full], -3)]
+        # The parity pass stops the group's sum at plane 1, so the complement
+        # spells 3 - c and the offset is 12 - 4 + 1 = 9: odd again.
+        assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(12, rows, 2, 2)] == [
+            ([0, 0], 0), ([full, full], 9)]
+        check_mod_4_pass(12, rows, 2)
         assert gf2._sliced_parity(12, rows, 2) == "doubly-even"
         assert gf2._sliced_minimum(12, rows, 2) == 4
 
@@ -817,12 +879,15 @@ class TestSlicedCounts:
         walk, sliced = gf2.enumerate_codewords, gf2._sliced_sums
         monkeypatch.setattr(gf2, "enumerate_codewords",
                             lambda code: walks.append(code.dimension) or walk(code))
-        monkeypatch.setattr(gf2, "_sliced_sums",
-                            lambda n, rows, e: passes.append(len(rows)) or sliced(n, rows, e))
+        # Each pass is recorded as (dimension, plane limit): the parity pass
+        # of a sliced code sums mod 4 (top 2), every other pass in full.
+        monkeypatch.setattr(gf2, "_sliced_sums", lambda n, rows, *args: passes.append(
+            (len(rows), *(args[1:] or [None]))) or sliced(n, rows, *args))
         # [16, 8] walks the code, [18, 9] slices it, and [20, 11] slices
         # its 9-dimensional dual.  Each statistic makes its own pass.
-        for (n, k), walked, sliced_passes in (((16, 8), [8] * 3, []), ((18, 9), [], [9] * 3),
-                                              ((20, 11), [], [9] * 3)):
+        for (n, k), walked, sliced_passes in (
+                ((16, 8), [8] * 3, []), ((18, 9), [], [(9, None), (9, None), (9, 2)]),
+                ((20, 11), [], [(9, None)] * 3)):
             walks.clear()
             passes.clear()
             code = LinearCode(n, tuple(1 << i | 1 << (k + i % (n - k)) for i in range(k)))
