@@ -72,7 +72,7 @@ def _encode(value: object) -> object:
 
     Walks lists, tuples and dicts, and applies _plain to any other value but
     None, an int or a str.  Dicts are sorted by their original keys, which
-    become strings, so the text report keeps numeric keys in numeric order
+    become strings, so a text report keeps a weight table in numeric order
     while --json re-sorts every key as a string ("0", "16", "8").
     """
     if value is None or isinstance(value, (int, str)):
@@ -89,7 +89,7 @@ def _plain(value: object) -> object:
 
     A Fraction becomes an int when integral, else "p/q"; a LinearCode its
     length and basis bit strings; any other gf2._Value record its field dict.  Any
-    other type raises TypeError.  _encode and the --json writer apply it.
+    other type raises TypeError.  _encode, the --json writer and the text report apply it.
     """
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"

@@ -121,17 +121,15 @@ def _render_text(report: dict[str, object]) -> str:
             verdict = "pass" if check["pass"] else "FAIL"
             lines.append(f"[{verdict}] {check['name']}: expected "
                          f"{check['expected']!r}, got {check['actual']!r}")
-        lines.append(f"checks passed: "
-                     f"{sum(c['pass'] for c in payload['checks'])}"
+        lines.append(f"checks passed: {sum(c['pass'] for c in payload['checks'])}"
                      f"/{len(payload['checks'])}")
     elif "steps" in payload:
-        encode = certificates._encode
+        dumps = functools.partial(json.dumps, sort_keys=True, default=certificates._plain)
         for i, step in enumerate(payload["steps"], start=1):
             detail = f" -- {step.note}" if step.note else ""
-            lines.append(f"step {i} [{step.rule}] "
-                         f"inputs={json.dumps(encode(step.inputs), sort_keys=True)} "
-                         f"=> {encode(step.asserted_output)}{detail}")
-        lines.append(f"conclusion: {json.dumps(encode(payload['conclusion']), sort_keys=True)}")
+            lines.append(f"step {i} [{step.rule}] inputs={dumps(step.inputs)} "
+                         f"=> {step.asserted_output}{detail}")
+        lines.append(f"conclusion: {dumps(payload['conclusion'])}")
     else:
         for key, value in payload.items():
             lines.append(f"{key}: {value}")

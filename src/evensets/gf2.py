@@ -13,20 +13,21 @@ All values are immutable; the only shared state is two caches of constant tuples
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 # Largest dimension an exhaustive count may cover, read by enumerate_codewords
-# and _sliced_counts at each call.  Weight statistics count the smaller of a
+# and _sliced_sums at each call.  Weight statistics count the smaller of a
 # code and its dual, so for them it bounds min(k, n - k).
 ENUMERATION_CAP = 30
 
 # Smallest dimension counted bit-sliced: at dimension 9 it beats a walk
 # 1.05x at n = 65 and 3x at n = 16, and at dimension 8 it loses from n = 48.
 _SLICED_FROM = 9
-# Lanes of 2^15 words: 2^16 counted [65, 16] and [65, 18] codes no faster
-# and added 0.5 MB to the benchmark's peak RSS.
+# Lanes of 2^15 words, read by _sliced_sums at each call: 2^16 counted
+# [65, 16] and [65, 18] codes no faster and added 0.5 MB to the benchmark's peak RSS.
 _LANE_EXPONENT = 15
 # Rows above the lanes whose 2^3 words share one pass over the column
 # tables (see _sliced_counts): on doubly-even [65, 20] and [65, 22] codes
@@ -228,6 +229,10 @@ def _ripple(a: list[int], b: list[int], top: int | None = None) -> list[int]:
     """Planes 0..top-1 (all if top is None) of the lane sums of the numbers a and b spell."""
     if len(a) < len(b):
         a, b = b, a
+    high = None
+    if top and len(a) >= top:  # as in _carry_save, plane top - 1 makes no carry
+        high = a[top - 1] ^ b[top - 1] if len(b) >= top else a[top - 1]
+        a, b = a[:top - 1], b[:top - 1]
     planes, carry = [], 0
     for x, y in zip(a, b):
         u = x ^ y
@@ -236,7 +241,9 @@ def _ripple(a: list[int], b: list[int], top: int | None = None) -> list[int]:
     for x in a[len(b):]:
         planes.append(x ^ carry)
         carry &= x
-    return (planes + [carry] if carry else planes)[:top]
+    if high is not None:
+        return planes + [high ^ carry]
+    return planes + [carry] if carry else planes
 
 
 @functools.cache
@@ -250,11 +257,10 @@ def _lane_patterns(b: int) -> tuple[int, ...]:
     return tuple(reversed(patterns))
 
 
-def _sliced_sums(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT,
-                 top: int | None = None) -> Iterator:
+def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterator:
     """One bit-sliced pass over the span of independent rows: its weights, as lane sums.
 
-    Bit-sliced (Biham, FSE 1997): the low b = min(k, lane_exponent) rows
+    Bit-sliced (Biham, FSE 1997): the low b = min(k, _LANE_EXPONENT) rows
     span 2^b words held side by side, lane x holding the word whose bit r of
     x selects low row r, and column j is one 2^b-bit int, its truth table
     over the lanes.  The next m = min(_MID_ROWS, k - b) rows form the mid
@@ -282,7 +288,7 @@ def _sliced_sums(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONEN
     k = len(rows)
     if k > ENUMERATION_CAP:
         raise EnumerationCapError(k)
-    b = min(k, lane_exponent)
+    b = min(k, _LANE_EXPONENT)
     m = min(_MID_ROWS, k - b)
     full = (1 << (1 << b)) - 1
     covered = [[] for _ in rows]
@@ -320,10 +326,10 @@ def _sliced_sums(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONEN
             yield planes, offset, full
 
 
-def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> list[int]:
+def _sliced_counts(n: int, rows: Sequence[int]) -> list[int]:
     """counts[w] = number of words of weight w in the span of independent rows."""
     counts = [0] * (n + 1)
-    for planes, offset, full in _sliced_sums(n, rows, lane_exponent):
+    for planes, offset, full in _sliced_sums(n, rows):
         # (lanes, their number, weight so far) for each nonempty set of lanes
         # that agree on the planes above p.  A split popcounts only its half
         # with the smaller int; a plane of all ones goes into the offset.
@@ -348,13 +354,13 @@ def _sliced_counts(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPON
     return counts
 
 
-def _sliced_minimum(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> int:
+def _sliced_minimum(n: int, rows: Sequence[int]) -> int:
     """Least nonzero weight in the span of k >= 1 independent rows, one branch per entry.
 
     The lanes clear at a plane are lanes ^ lanes & plane: no negative 2^b-bit ~plane.
     """
     least = n
-    for i, (planes, offset, full) in enumerate(_sliced_sums(n, rows, lane_exponent)):
+    for i, (planes, offset, full) in enumerate(_sliced_sums(n, rows)):
         if lanes := full if i else full ^ 1:  # lane 0 of entry 0 is the zero word
             for p in reversed(range(len(planes))):  # the lanes clear at p, else all + 2^p
                 clear = lanes ^ lanes & planes[p]
@@ -363,14 +369,14 @@ def _sliced_minimum(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPO
     return least
 
 
-def _sliced_parity(n: int, rows: Sequence[int], lane_exponent: int = _LANE_EXPONENT) -> str:
+def _sliced_parity(n: int, rows: Sequence[int]) -> str:
     """classify_parity of the span of independent rows, from a pass summed mod 4 (top 2).
 
     A lane is odd where plane 0 is not the offset's bit 0.  With all even, bit
     0 carries: 0 mod 4 where plane 1 is the offset's bit 1 XOR bit 0.
     """
     doubly = True
-    for planes, offset, full in _sliced_sums(n, rows, lane_exponent, 2):
+    for planes, offset, full in _sliced_sums(n, rows, 2):
         low, second, *_ = planes + [0, 0]
         if low ^ (full if offset & 1 else 0):
             return "not-even"
@@ -477,23 +483,18 @@ def griesmer_min_length(k: int, d: int) -> int:
 
 
 def griesmer_max_dim(n: int, d: int) -> int:
-    """Largest k admitted by the Griesmer bound for given n and d."""
+    """Largest k with griesmer_min_length(k, d) <= n: the dimension the Griesmer bound admits."""
     if d < 1:
         raise ValueError(f"minimum distance must be at least 1, got {d}")
     if n < 1:
         raise ValueError(f"length must be at least 1, got {n}")
     if d > n:
         raise ValueError(f"minimum distance {d} exceeds length {n}")
-    top = (d - 1).bit_length()
-    k = length = 0
-    while k < top:
-        term = -(-d // (1 << k))
-        if length + term > n:
-            return k
-        length += term
-        k += 1
-    # From k = top on, each further dimension adds exactly 1 to the length.
-    return top + n - length
+    top = max(1, (d - 1).bit_length())  # at least 1, the least dimension
+    full = griesmer_min_length(top, d)
+    if n >= full:
+        return top + n - full  # past top each dimension adds exactly 1
+    return bisect.bisect_right(range(1, top), n, key=lambda k: griesmer_min_length(k, d))
 
 
 def parse_generator_matrix(text: str) -> LinearCode:

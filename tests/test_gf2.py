@@ -2,6 +2,8 @@ from collections import Counter
 from functools import reduce
 from math import comb
 from operator import xor
+from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -249,6 +251,23 @@ def plain_griesmer_dim(n, d):
     return k
 
 
+@st.composite
+def huge_sizes(draw):
+    """(n, d) with d up to 10^20 and n from d up to 10^30, on both sides of full.
+
+    full is the length at top = max(1, (d - 1).bit_length()), past which each
+    dimension adds exactly 1.  Half the draws pick a dimension j < top and
+    an n at which j fits and j + 1 does not (the search); the other half
+    draw n up to 10^30, almost always at or above full (the closed form).
+    """
+    d = draw(st.integers(1, 10**20))
+    if draw(st.booleans()):
+        j = draw(st.integers(1, max(1, (d - 1).bit_length() - 1)))
+        return draw(st.integers(plain_griesmer_length(j, d),
+                                plain_griesmer_length(j + 1, d) - 1)), d
+    return draw(st.integers(d, 10**30)), d
+
+
 class TestGriesmer:
     def test_min_length_values(self):
         assert gf2.griesmer_min_length(5, 16) == 31
@@ -275,6 +294,15 @@ class TestGriesmer:
     def test_max_dim_matches_plain_loop(self, d, slack):
         n = d + slack
         assert gf2.griesmer_max_dim(n, d) == plain_griesmer_dim(n, d)
+
+    @settings(max_examples=300)
+    @given(huge_sizes())
+    @example((10**30, 10**20))  # the closed form: k = 67 + 10^30 - full
+    @example((10**20 + 10**19, 10**20))  # the search: k = 1
+    def test_max_dim_is_the_largest_dimension_that_fits(self, sizes):
+        n, d = sizes
+        k = gf2.griesmer_max_dim(n, d)
+        assert gf2.griesmer_min_length(k, d) <= n < gf2.griesmer_min_length(k + 1, d)
 
     def test_huge_arguments(self):
         assert gf2.griesmer_min_length(10**8, 1) == 10**8
@@ -581,14 +609,20 @@ def parity_of(counts: list[int]) -> str:
             else "even" if any(w % 4 for w in weights) else "doubly-even")
 
 
+def lanes(exponent: int):
+    """Count bit-sliced with lanes of 2^exponent words while the block runs."""
+    return mock.patch.object(gf2, "_LANE_EXPONENT", exponent)
+
+
 def check_readers(code: LinearCode, rows: tuple[int, ...], lane_exponent: int) -> None:
     """The count, minimum and parity readers of a sliced pass against the walk."""
     counts = walked_counts(code)
-    assert gf2._sliced_counts(code.length, rows, lane_exponent) == counts
-    assert gf2._sliced_parity(code.length, rows, lane_exponent) == parity_of(counts)
-    if code.dimension:
-        least = next(w for w in range(1, len(counts)) if counts[w])
-        assert gf2._sliced_minimum(code.length, rows, lane_exponent) == least
+    with lanes(lane_exponent):
+        assert gf2._sliced_counts(code.length, rows) == counts
+        assert gf2._sliced_parity(code.length, rows) == parity_of(counts)
+        if code.dimension:
+            least = next(w for w in range(1, len(counts)) if counts[w])
+            assert gf2._sliced_minimum(code.length, rows) == least
 
 
 @st.composite
@@ -746,8 +780,9 @@ def mod_4(planes: list[int], offset: int, full: int) -> tuple[int, int]:
 
 def check_mod_4_pass(n: int, rows: tuple[int, ...], lane_exponent: int) -> None:
     """The pass at top 2 against the full pass: each lane's weight agrees mod 4."""
-    whole = list(gf2._sliced_sums(n, rows, lane_exponent))
-    truncated = list(gf2._sliced_sums(n, rows, lane_exponent, 2))
+    with lanes(lane_exponent):
+        whole = list(gf2._sliced_sums(n, rows))
+        truncated = list(gf2._sliced_sums(n, rows, 2))
     assert len(truncated) == len(whole)
     for (planes, offset, full), (low, low_offset, low_full) in zip(whole, truncated):
         assert low_full == full and len(low) <= 2
@@ -800,8 +835,9 @@ class TestSlicedCounts:
         # w = 1 plane, below top: 2^1 - 1 - c spells the complement unpadded.
         rows = (0b011, 0b100)
         check_mod_4_pass(3, rows, 1)
-        assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(3, rows, 1, 2)] == [
-            ([0, 0b10], 0), ([0b11, 0b10], 0)]
+        with lanes(1):
+            assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(3, rows, 2)] == [
+                ([0, 0b10], 0), ([0b11, 0b10], 0)]
 
     def test_parity_carries_an_odd_offset_into_bit_1(self):
         # Three columns, each repeated four times: two low rows of weight 4
@@ -813,23 +849,26 @@ class TestSlicedCounts:
         columns = [c for c in (0b101, 0b110, 0b100) for _ in range(4)]
         rows = tuple(sum(1 << j for j, c in enumerate(columns) if c >> r & 1) for r in range(3))
         full = 0b1111
-        assert [(planes[:2], offset) for planes, offset, _ in gf2._sliced_sums(12, rows, 2)] == [
-            ([0, 0], 0), ([full, full], -3)]
-        # The parity pass stops the group's sum at plane 1, so the complement
-        # spells 3 - c and the offset is 12 - 4 + 1 = 9: odd again.
-        assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(12, rows, 2, 2)] == [
-            ([0, 0], 0), ([full, full], 9)]
+        with lanes(2):
+            assert [(planes[:2], offset) for planes, offset, _ in gf2._sliced_sums(12, rows)] == [
+                ([0, 0], 0), ([full, full], -3)]
+            # The parity pass stops the group's sum at plane 1, so the
+            # complement spells 3 - c and the offset is 12 - 4 + 1 = 9: odd again.
+            assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(12, rows, 2)] == [
+                ([0, 0], 0), ([full, full], 9)]
+            assert gf2._sliced_parity(12, rows) == "doubly-even"
+            assert gf2._sliced_minimum(12, rows) == 4
         check_mod_4_pass(12, rows, 2)
-        assert gf2._sliced_parity(12, rows, 2) == "doubly-even"
-        assert gf2._sliced_minimum(12, rows, 2) == 4
 
     def test_parity_reads_every_entry(self):
         # Lanes over rows 0 and 1, both of weight 2; row 2 is odd, so the
         # first entry is all even and every odd word lies in the second.
         rows = (0b11, 0b1100, 0b10000)
         for lane_exponent in (0, 1, 2):
-            assert gf2._sliced_parity(5, rows, lane_exponent) == "not-even"
-        assert gf2._sliced_parity(4, rows[:2], 2) == "even"
+            with lanes(lane_exponent):
+                assert gf2._sliced_parity(5, rows) == "not-even"
+        with lanes(2):
+            assert gf2._sliced_parity(4, rows[:2]) == "even"
 
     def test_minimum_reads_lane_0_of_later_entries(self):
         # The lightest nonzero word is row 2 alone (weight 1): lane 0 of the
@@ -837,8 +876,10 @@ class TestSlicedCounts:
         # first entry's, the zero word.
         rows = (0b111, 0b111000, 0b1000000)
         for lane_exponent in (0, 1, 2):
-            assert gf2._sliced_minimum(7, rows, lane_exponent) == 1
-        assert gf2._sliced_minimum(6, rows[:2], 2) == 3
+            with lanes(lane_exponent):
+                assert gf2._sliced_minimum(7, rows) == 1
+        with lanes(2):
+            assert gf2._sliced_minimum(6, rows[:2]) == 3
 
     @pytest.mark.parametrize("n", [(1 << d) - e for d in range(5, 9) for e in (1, 0)])
     def test_repetition_code_carries_into_the_top_plane(self, n):
@@ -850,10 +891,11 @@ class TestSlicedCounts:
         # Lane exponent 0 leaves the one row as a mid row, every column in
         # its one group, which enters complemented for the word of weight n.
         for lane_exponent in (0, 1, 15):
-            assert gf2._sliced_counts(n, code.rows, lane_exponent) == expected
-            # At lane exponent 0 the first entry has no lane but the zero word.
-            assert gf2._sliced_minimum(n, code.rows, lane_exponent) == n
-            assert gf2._sliced_parity(n, code.rows, lane_exponent) == parity_of(expected)
+            with lanes(lane_exponent):
+                assert gf2._sliced_counts(n, code.rows) == expected
+                # At lane exponent 0 the first entry has no lane but the zero word.
+                assert gf2._sliced_minimum(n, code.rows) == n
+                assert gf2._sliced_parity(n, code.rows) == parity_of(expected)
 
     @pytest.mark.parametrize("b", range(9))
     def test_lane_patterns_hold_the_lane_bits(self, b):
@@ -864,6 +906,20 @@ class TestSlicedCounts:
             assert [pattern >> x & 1 for x in range(1 << b)] == [x >> r & 1 for x in range(1 << b)]
         # Built once per lane exponent: repeat calls return the same tuple.
         assert gf2._lane_patterns(b) is patterns
+
+    @pytest.mark.parametrize("b", [0, 1, 4, 8, 11, 15])
+    def test_lane_width_is_read_at_each_call(self, b):
+        # A [40, 11] code: b = 0 leaves 3 mid rows and 8 outer rows, and
+        # b >= 11 holds every row in the lanes, one entry.
+        rng = Random(26)
+        code = LinearCode(40, tuple(rng.getrandbits(40) for _ in range(11)))
+        k = code.dimension
+        assert k == 11
+        with mock.patch.object(gf2, "_LANE_EXPONENT", b):
+            entries = list(gf2._sliced_sums(code.length, code.rows))
+        assert len(entries) == 1 << (k - min(k, b))
+        assert {full for _, _, full in entries} == {(1 << (1 << min(k, b))) - 1}
+        check_readers(code, code.rows, b)
 
     def test_cap_bounds_the_sliced_dimension(self, monkeypatch):
         monkeypatch.setattr(gf2, "ENUMERATION_CAP", 11)
@@ -882,7 +938,7 @@ class TestSlicedCounts:
         # Each pass is recorded as (dimension, plane limit): the parity pass
         # of a sliced code sums mod 4 (top 2), every other pass in full.
         monkeypatch.setattr(gf2, "_sliced_sums", lambda n, rows, *args: passes.append(
-            (len(rows), *(args[1:] or [None]))) or sliced(n, rows, *args))
+            (len(rows), *(args or [None]))) or sliced(n, rows, *args))
         # [16, 8] walks the code, [18, 9] slices it, and [20, 11] slices
         # its 9-dimensional dual.  Each statistic makes its own pass.
         for (n, k), walked, sliced_passes in (
