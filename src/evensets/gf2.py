@@ -330,27 +330,24 @@ def _sliced_counts(n: int, rows: Sequence[int]) -> list[int]:
     """counts[w] = number of words of weight w in the span of independent rows."""
     counts = [0] * (n + 1)
     for planes, offset, full in _sliced_sums(n, rows):
-        # (lanes, their number, weight so far) for each nonempty set of lanes
-        # that agree on the planes above p.  A split popcounts only its half
-        # with the smaller int; a plane of all ones goes into the offset.
-        level = [(full, full.bit_length(), 0)]
+        # (lanes, weight so far) for each nonempty set of lanes that agree on
+        # the planes above p.  Each plane splits each set, and each set is
+        # popcounted once at the bottom; a plane of all ones goes into the offset.
+        level = [(full, 0)]
         for p in reversed(range(len(planes))):
             plane = planes[p]
             if plane == full:
                 offset += 1 << p
             elif plane:
                 split = []
-                for lanes, count, w in level:
-                    one = lanes & plane
-                    zero = lanes ^ one
-                    if one and zero:
-                        ones = one.bit_count() if one < zero else count - zero.bit_count()
-                        split += (one, ones, w + (1 << p)), (zero, count - ones, w)
-                    else:
-                        split.append((lanes, count, w + (1 << p) if one else w))
+                for lanes, w in level:
+                    if one := lanes & plane:
+                        split.append((one, w + (1 << p)))
+                    if zero := lanes ^ one:
+                        split.append((zero, w))
                 level = split
-        for _, count, w in level:
-            counts[w + offset] += count
+        for lanes, w in level:
+            counts[w + offset] += lanes.bit_count()
     return counts
 
 

@@ -136,6 +136,16 @@ class TestDeriveGaps:
         cert = derive_gaps(7, STRICT)
         assert any(s.rule == "deviation-note" for s in cert.steps)
 
+    def test_gap_mismatch_is_caught(self, monkeypatch):
+        # A cap that the closed form and the per-weight chain read differently.
+        case = certificates._Case(twist=4, h2_mode="at-most-one", cap=36,
+                                  instability=(4, 42))
+        monkeypatch.setitem(certificates._CASES, (7, STRICT), case)
+        with pytest.raises(AssertionError) as exc:
+            derive_gaps(7, STRICT)
+        assert str(exc.value) == ("gap mismatch for degree 7 (strict): closed form (40,), "
+                                  "per-weight chain ()")
+
 
 class TestStepChecking:
     def test_chi_eval_rejects_wrong_value(self):

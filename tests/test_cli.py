@@ -545,6 +545,13 @@ class TestCalculators:
         assert out == ""
         assert err == "error: surface degree must be at least 1, got 0\n"
 
+    def test_surface_bounds_negative_nodes_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["surface", "bounds", "--degree", "4",
+                                          "--nodes", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: node count must be nonnegative, got -1\n"
+
     def test_surface_bounds_above_miyaoka_exits_2(self, capsys):
         code, out, err = run_cli(capsys, ["surface", "bounds", "--degree", "7",
                                           "--nodes", "1000000"])

@@ -25,6 +25,11 @@ class TestMaxNodes:
             NodalSurface(4, 17)
         NodalSurface(7, 100)  # within Miyaoka's bound beyond degree 6
 
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            NodalSurface(4, -1)
+        assert str(exc.value) == "node count must be nonnegative, got -1"
+
     def test_miyaoka_bound_beyond_degree_six(self):
         NodalSurface(7, 112)
         with pytest.raises(ValueError, match="at most 112 nodes"):
