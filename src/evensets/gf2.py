@@ -8,7 +8,8 @@ written by bit_string.  Codes are subspaces of GF(2)^n.  The LinearCode
 constructor accepts any spanning row masks and stores their reduced
 row-echelon basis, which makes subspace equality plain value equality.
 
-All values are immutable; the only shared state is two caches of constant tuples.
+All values are immutable; the only shared state is two caches of constant tuples:
+the chunk tables of the bit-sliced count and the Krawtchouk rows of MacWilliams.
 """
 
 from __future__ import annotations
@@ -246,15 +247,44 @@ def _ripple(a: list[int], b: list[int], top: int | None = None) -> list[int]:
     return planes + [carry] if carry else planes
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a '0'/'1' string to one byte per bit
+
+
 @functools.cache
-def _lane_patterns(b: int) -> tuple[int, ...]:
-    """The b lane patterns over 2^b lanes: lane x of pattern r is bit r of x."""
+def _chunk_tables(b: int) -> tuple[tuple[int, ...], ...]:
+    """Per run c of 4 low rows, the XORs of their lane patterns over 2^b lanes.
+
+    Lane x of row r's pattern is bit r of x, so entry v of chunk c is, in lane
+    x, the parity of x >> 4c & v.  The last chunk has 2^(b mod 4) entries if 4 does not divide b.
+    """
     patterns, pattern = [], (1 << (1 << b)) - 1
     for r in reversed(range(b)):
         # 2^r zeros, 2^r ones, repeated: the blocks of pattern r + 1 halved.
         pattern ^= pattern >> (1 << r)
-        patterns.append(pattern)
-    return tuple(reversed(patterns))
+        patterns.insert(0, pattern)
+    chunks = []
+    for c in range(0, b, 4):
+        entries = [0]
+        for pattern in patterns[c:c + 4]:
+            entries += [entry ^ pattern for entry in entries]
+        chunks.append(tuple(entries))
+    return tuple(chunks)
+
+
+def _column_tables(n: int, rows: Sequence[int], b: int) -> list[int]:
+    """Column j's truth table over 2^b lanes: the XOR of the patterns of the low rows covering j.
+
+    A chunk's rows are spread one bit per byte (bit j to byte j) and ORed at
+    shifts 0 to 3, so byte j of the sum indexes column j's entry of the chunk.
+    """
+    tables = None
+    for c, entries in enumerate(_chunk_tables(b)):
+        index = 0
+        for s, row in enumerate(rows[4 * c:min(4 * c + 4, b)]):
+            index |= int.from_bytes(f"{row:0{n}b}".encode().translate(_BITS), "big") << s
+        picked = [entries[i] for i in index.to_bytes(n, "little")]
+        tables = picked if tables is None else list(map(operator.xor, tables, picked))
+    return tables or [0] * n
 
 
 def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterator:
@@ -291,26 +321,23 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     b = min(k, _LANE_EXPONENT)
     m = min(_MID_ROWS, k - b)
     full = (1 << (1 << b)) - 1
-    covered = [[] for _ in rows]
-    for columns, row in zip(covered, rows):
+    tables = _column_tables(n, rows, b)
+    covered = [[] for _ in rows[b:]]
+    for columns, row in zip(covered, rows[b:]):
         while row:
             j = row.bit_length() - 1
             columns.append(j)
             row ^= 1 << j
-    tables = [0] * n
-    for pattern, columns in zip(_lane_patterns(b), covered):
-        for j in columns:
-            tables[j] ^= pattern
     keys = [0] * n
     for t in range(m):
-        for j in covered[b + t]:
+        for j in covered[t]:
             keys[j] |= 1 << t
     groups: dict[int, list[int]] = {}
     for j, key in enumerate(keys):
         groups.setdefault(key, []).append(j)
     for i in range(1 << (k - b - m)):
         if i:
-            for j in covered[b + m + (i & -i).bit_length() - 1]:
+            for j in covered[m + (i & -i).bit_length() - 1]:
                 tables[j] ^= full
         entries = [([], 0, 0)] * (1 << m)
         for key, columns in groups.items():

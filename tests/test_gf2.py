@@ -1,5 +1,5 @@
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from math import comb
 from operator import xor
 from random import Random
@@ -715,6 +715,32 @@ def wide_walk_codes(draw):
     return LinearCode(n, tuple(rows))
 
 
+@cache
+def lane_pattern(b: int, r: int) -> int:
+    """Low row r's truth table over 2^b lanes: lane x, bit x of the int, is bit r of x."""
+    return int("".join(str(x >> r & 1) for x in reversed(range(1 << b))), 2)
+
+
+@st.composite
+def column_table_cases(draw):
+    """(n, rows, lane exponent): k rows of length n, spelt out column by column.
+
+    Columns come from a small pool that holds the zero column, so zero and
+    repeated columns are common, and row 0 covers columns 0 and n - 1.  The
+    k rows need not be independent, and k may be below the lane exponent.
+    """
+    n = draw(st.integers(1, 70))
+    k = draw(st.integers(0, 21))
+    column = st.integers(0, (1 << k) - 1)
+    pool = draw(st.lists(column, min_size=1, max_size=6)) + [0]
+    columns = draw(st.lists(st.sampled_from(pool) | column, min_size=n, max_size=n))
+    if k:
+        columns[0] |= 1
+        columns[-1] |= 1
+    rows = tuple(sum(1 << j for j, c in enumerate(columns) if c >> r & 1) for r in range(k))
+    return n, rows, draw(st.sampled_from([0, 1, 3, 4, 5, 8, 15]))
+
+
 @st.composite
 def lane_ints(draw, lists, min_size, max_size):
     """(lanes, *lists): the given number of lists of ints over 2^e lanes, e in 0..6."""
@@ -897,15 +923,29 @@ class TestSlicedCounts:
                 assert gf2._sliced_minimum(n, code.rows) == n
                 assert gf2._sliced_parity(n, code.rows) == parity_of(expected)
 
-    @pytest.mark.parametrize("b", range(9))
-    def test_lane_patterns_hold_the_lane_bits(self, b):
-        patterns = gf2._lane_patterns(b)
-        assert isinstance(patterns, tuple) and len(patterns) == b
-        for r, pattern in enumerate(patterns):
-            assert pattern >> (1 << b) == 0
-            assert [pattern >> x & 1 for x in range(1 << b)] == [x >> r & 1 for x in range(1 << b)]
+    @pytest.mark.parametrize("b", [*range(9), 15])
+    def test_chunk_tables_hold_the_parities_of_the_lane_bits(self, b):
+        chunks = gf2._chunk_tables(b)
+        assert isinstance(chunks, tuple) and len(chunks) == -(-b // 4)
+        if b % 4:
+            assert len(chunks[-1]) == 1 << b % 4
+        lanes = range(1 << b)
+        for c, entries in enumerate(chunks):
+            assert isinstance(entries, tuple) and len(entries) == 1 << min(4, b - 4 * c)
+            for v, entry in enumerate(entries):
+                # Lane x, bit x of the int, holds the parity of x >> 4c & v.
+                parities = "".join(str((x >> 4 * c & v).bit_count() & 1) for x in lanes)
+                assert entry == int(parities[::-1], 2)
         # Built once per lane exponent: repeat calls return the same tuple.
-        assert gf2._lane_patterns(b) is patterns
+        assert gf2._chunk_tables(b) is chunks
+
+    @settings(max_examples=100, deadline=None)
+    @given(column_table_cases())
+    def test_column_tables_xor_the_lane_patterns_of_each_column(self, case):
+        n, rows, b = case
+        expected = [reduce(xor, (lane_pattern(b, r) for r, row in enumerate(rows[:b])
+                                 if row >> j & 1), 0) for j in range(n)]
+        assert gf2._column_tables(n, rows, b) == expected
 
     @pytest.mark.parametrize("b", [0, 1, 4, 8, 11, 15])
     def test_lane_width_is_read_at_each_call(self, b):
