@@ -32,7 +32,7 @@ _SLICED_FROM = 9
 _LANE_EXPONENT = 15
 # Rows above the lanes whose 2^3 words share one pass over the column
 # tables (see _sliced_counts): on doubly-even [65, 20] and [65, 22] codes
-# 2 rows counted 8-13% slower and 4 rows 0-6% slower.
+# 2 rows counted 8-13% slower and 4 rows 0-6% slower.  At most 8: a mid key is one byte.
 _MID_ROWS = 3
 
 
@@ -230,20 +230,18 @@ def _ripple(a: list[int], b: list[int], top: int | None = None) -> list[int]:
     """Planes 0..top-1 (all if top is None) of the lane sums of the numbers a and b spell."""
     if len(a) < len(b):
         a, b = b, a
-    high = None
-    if top and len(a) >= top:  # as in _carry_save, plane top - 1 makes no carry
-        high = a[top - 1] ^ b[top - 1] if len(b) >= top else a[top - 1]
-        a, b = a[:top - 1], b[:top - 1]
     planes, carry = [], 0
     for x, y in zip(a, b):
         u = x ^ y
         planes.append(u ^ carry)
+        if len(planes) == top:  # as in _carry_save, plane top - 1 makes no carry
+            return planes
         carry = x & y | u & carry
     for x in a[len(b):]:
         planes.append(x ^ carry)
+        if len(planes) == top:
+            return planes
         carry &= x
-    if high is not None:
-        return planes + [high ^ carry]
     return planes + [carry] if carry else planes
 
 
@@ -271,18 +269,26 @@ def _chunk_tables(b: int) -> tuple[tuple[int, ...], ...]:
     return tuple(chunks)
 
 
+def _column_bits(n: int, rows: Sequence[int]) -> bytes:
+    """Byte j holds column j's bits on up to 8 rows: bit s is set iff rows[s] covers j.
+
+    A byte transposition: each row is spread one bit per byte (bit j to byte
+    j) and the rows are ORed at shifts 0 to 7.
+    """
+    index = 0
+    for s, row in enumerate(rows):
+        index |= int.from_bytes(f"{row:0{n}b}".encode().translate(_BITS), "big") << s
+    return index.to_bytes(n, "little")
+
+
 def _column_tables(n: int, rows: Sequence[int], b: int) -> list[int]:
     """Column j's truth table over 2^b lanes: the XOR of the patterns of the low rows covering j.
 
-    A chunk's rows are spread one bit per byte (bit j to byte j) and ORed at
-    shifts 0 to 3, so byte j of the sum indexes column j's entry of the chunk.
+    Column j's bits on a chunk's rows index its entry of the chunk.
     """
     tables = None
     for c, entries in enumerate(_chunk_tables(b)):
-        index = 0
-        for s, row in enumerate(rows[4 * c:min(4 * c + 4, b)]):
-            index |= int.from_bytes(f"{row:0{n}b}".encode().translate(_BITS), "big") << s
-        picked = [entries[i] for i in index.to_bytes(n, "little")]
+        picked = [entries[i] for i in _column_bits(n, rows[4 * c:min(4 * c + 4, b)])]
         tables = picked if tables is None else list(map(operator.xor, tables, picked))
     return tables or [0] * n
 
@@ -322,22 +328,13 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     m = min(_MID_ROWS, k - b)
     full = (1 << (1 << b)) - 1
     tables = _column_tables(n, rows, b)
-    covered = [[] for _ in rows[b:]]
-    for columns, row in zip(covered, rows[b:]):
-        while row:
-            j = row.bit_length() - 1
-            columns.append(j)
-            row ^= 1 << j
-    keys = [0] * n
-    for t in range(m):
-        for j in covered[t]:
-            keys[j] |= 1 << t
     groups: dict[int, list[int]] = {}
-    for j, key in enumerate(keys):
+    for j, key in enumerate(_column_bits(n, rows[b:b + m])):
         groups.setdefault(key, []).append(j)
+    covered = [[j for j, bit in enumerate(_column_bits(n, [row])) if bit] for row in rows[b + m:]]
     for i in range(1 << (k - b - m)):
         if i:
-            for j in covered[m + (i & -i).bit_length() - 1]:
+            for j in covered[(i & -i).bit_length() - 1]:
                 tables[j] ^= full
         entries = [([], 0, 0)] * (1 << m)
         for key, columns in groups.items():
@@ -551,6 +548,6 @@ def parse_generator_matrix(text: str) -> LinearCode:
 
 
 def read_generator_matrix(path: str) -> LinearCode:
-    """Parse the matrix file at path as UTF-8 bytes; the parser, not text mode, ends lines."""
+    """Parse the UTF-8 file at path, less a leading BOM; the parser, not text mode, ends lines."""
     with open(path, "rb") as f:
-        return parse_generator_matrix(f.read().decode("utf-8"))
+        return parse_generator_matrix(f.read().decode("utf-8-sig"))

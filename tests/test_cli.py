@@ -376,6 +376,27 @@ class TestMatrixFileRead:
         code, out, err = run_cli(capsys, ["code", "analyze", str(path)])
         assert (code, out, err) == (2, "", expected)
 
+    def test_a_leading_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        # Some editors start a UTF-8 file with U+FEFF.
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"1111\n")
+        marked.write_bytes(b"\xef\xbb\xbf1111\n")
+        assert gf2.read_generator_matrix(str(marked)) == gf2.read_generator_matrix(str(plain))
+        code, out, err = run_cli(capsys, ["code", "analyze", str(marked)])
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("text, line", [("1\ufeff100\n", "1\ufeff100"),
+                                            ("\ufeff\ufeff1100\n", "\ufeff1100"),
+                                            ("1100\n\ufeff0011\n", "\ufeff0011")])
+    def test_a_byte_order_mark_after_the_first_character_is_a_bad_character(
+            self, capsys, tmp_path, text, line):
+        path = tmp_path / "matrix.txt"
+        path.write_bytes(text.encode())
+        lineno = text.count("\n", 0, text.index(line)) + 1
+        code, out, err = run_cli(capsys, ["code", "analyze", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: line {lineno}: expected only '0', '1' and spaces, got {line!r}\n"
+
     def test_crlf_data_files_pass_verify_paper(self, capsys, tmp_path):
         data = resources.files("evensets") / "data"
         for name in ("kummer.txt", "togliatti.txt"):

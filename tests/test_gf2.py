@@ -742,6 +742,18 @@ def column_table_cases(draw):
 
 
 @st.composite
+def column_bit_cases(draw):
+    """(n, rows): up to 8 rows of length n from a pool that holds the zero and all-ones rows.
+
+    The pool is small, so repeated rows are common.
+    """
+    n = draw(st.integers(1, 70))
+    row = st.integers(0, (1 << n) - 1)
+    pool = [0, (1 << n) - 1, *draw(st.lists(row, min_size=1, max_size=4))]
+    return n, draw(st.lists(st.sampled_from(pool), max_size=8))
+
+
+@st.composite
 def lane_ints(draw, lists, min_size, max_size):
     """(lanes, *lists): the given number of lists of ints over 2^e lanes, e in 0..6."""
     lanes = 1 << draw(st.integers(0, 6))
@@ -938,6 +950,21 @@ class TestSlicedCounts:
                 assert entry == int(parities[::-1], 2)
         # Built once per lane exponent: repeat calls return the same tuple.
         assert gf2._chunk_tables(b) is chunks
+
+    @settings(max_examples=200)
+    @given(column_bit_cases())
+    def test_column_bits_hold_each_columns_bits(self, case):
+        n, rows = case
+        bits = gf2._column_bits(n, rows)
+        assert isinstance(bits, bytes) and len(bits) == n
+        for j, byte in enumerate(bits):
+            # Bit s of byte j is set iff rows[s] covers column j.
+            assert byte == sum((row >> j & 1) << s for s, row in enumerate(rows))
+
+    def test_a_mid_key_fits_in_a_byte(self):
+        # _sliced_sums groups the columns by their bits on the mid rows, read
+        # by _column_bits one byte per column.
+        assert 0 <= gf2._MID_ROWS <= 8
 
     @settings(max_examples=100, deadline=None)
     @given(column_table_cases())
