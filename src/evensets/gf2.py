@@ -8,8 +8,9 @@ written by bit_string.  Codes are subspaces of GF(2)^n.  The LinearCode
 constructor accepts any spanning row masks and stores their reduced
 row-echelon basis, which makes subspace equality plain value equality.
 
-All values are immutable; the only shared state is two caches of constant tuples:
-the chunk tables of the bit-sliced count and the Krawtchouk rows of MacWilliams.
+All values are immutable; the only shared state is three caches of constant tuples:
+the chunk tables of the bit-sliced count, the column tables of the last code it
+counted (one code's only, shared by that code's passes) and the Krawtchouk rows of MacWilliams.
 """
 
 from __future__ import annotations
@@ -293,15 +294,21 @@ def _column_tables(n: int, rows: Sequence[int], b: int) -> list[int]:
     return tables or [0] * n
 
 
+@functools.lru_cache(maxsize=1)  # one code's tables: the passes over its low rows share them
+def _shared_tables(n: int, rows: tuple[int, ...], b: int) -> tuple[int, ...]:
+    return tuple(_column_tables(n, rows, b))
+
+
 def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterator:
     """One bit-sliced pass over the span of independent rows: its weights, as lane sums.
 
     Bit-sliced (Biham, FSE 1997): the low b = min(k, _LANE_EXPONENT) rows
     span 2^b words held side by side, lane x holding the word whose bit r of
     x selects low row r, and column j is one 2^b-bit int, its truth table
-    over the lanes.  The next m = min(_MID_ROWS, k - b) rows form the mid
-    tier, and a Gray walk over the remaining outer rows complements the
-    tables of the columns the added outer row covers.
+    over the lanes.  Passes over the same low rows share these tables (see
+    _shared_tables).  The next m = min(_MID_ROWS, k - b) rows form the mid
+    tier, and a Gray walk over the remaining outer rows complements, in the
+    pass's own copy, the tables of the columns the added outer row covers.
 
     The columns are grouped once by their bits on the mid rows, their key.
     An entry (planes, offset, size) stands for size columns of which, in
@@ -327,7 +334,7 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     b = min(k, _LANE_EXPONENT)
     m = min(_MID_ROWS, k - b)
     full = (1 << (1 << b)) - 1
-    tables = _column_tables(n, rows, b)
+    tables = list(_shared_tables(n, tuple(rows[:b]), b))  # a copy: the walk flips its tables
     groups: dict[int, list[int]] = {}
     for j, key in enumerate(_column_bits(n, rows[b:b + m])):
         groups.setdefault(key, []).append(j)
@@ -413,7 +420,8 @@ def _weight_counts(code: LinearCode) -> list[int]:
     _SLICED_FROM is walked word by word through enumerate_codewords; a
     larger one is bit-sliced.  The cap applies to the dimension counted.
     When the code itself is bit-sliced, minimum_distance and classify_parity make
-    their own pass and read one branch of its planes, or planes 0 and 1, alone.
+    their own pass and read one branch of its planes, or planes 0 and 1, alone;
+    the passes share their set-up, the column tables, so an analyze builds them once.
     """
     n, k = code.length, code.dimension
     walked = dual_code(code) if n - k < k else code

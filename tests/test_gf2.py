@@ -1020,6 +1020,58 @@ class TestSlicedCounts:
             gf2.classify_parity(code)
             assert (walks, passes) == (walked, sliced_passes)
 
+    def test_an_analyze_builds_the_column_tables_once(self, monkeypatch):
+        # Four extended Hamming [8, 4, 4] codes on shuffled coordinates: a
+        # doubly-even [65, 16] code, counted bit-sliced with one mid row.
+        hamming = (0b11111111, 0b11110000, 0b11001100, 0b10101010)
+        coords = list(range(65))
+        Random(30).shuffle(coords)
+        code = LinearCode(65, tuple(sum(1 << coords[8 * c + i] for i in range(8) if row >> i & 1)
+                                    for c in range(4) for row in hamming))
+        assert code.dimension == 16
+        builds, build = [], gf2._column_tables
+        monkeypatch.setattr(gf2, "_column_tables", lambda *args: builds.append(args) or build(*args))
+        gf2._shared_tables.cache_clear()
+        # The three passes of code analyze share one set-up.
+        assert gf2.weight_distribution(code) == {0: 1, 4: 56, 8: 1180, 12: 11144, 16: 40774,
+                                                 20: 11144, 24: 1180, 28: 56, 32: 1}
+        assert gf2.minimum_distance(code) == 4
+        assert gf2.classify_parity(code) == "doubly-even"
+        assert len(builds) == 1
+
+    def test_cached_tables_survive_the_walk(self):
+        # Lanes of 2^4 words leave 3 mid rows and 5 outer rows on [30, 12]
+        # codes, so each pass's Gray walk flips columns' tables in its copy;
+        # the cached tables must stay as built for the next pass.
+        rng = Random(31)
+        a, b = (LinearCode(30, tuple(rng.getrandbits(30) for _ in range(12))) for _ in range(2))
+        assert a.dimension == b.dimension == 12
+        expected = {}
+        for code in (a, b):
+            counts = walked_counts(code)
+            expected[code] = ({w: c for w, c in enumerate(counts) if c},
+                              next(w for w in range(1, len(counts)) if counts[w]), parity_of(counts))
+        gf2._shared_tables.cache_clear()
+        with lanes(4):
+            statistics = (gf2.weight_distribution, gf2.minimum_distance, gf2.classify_parity)
+            assert tuple(statistic(a) for statistic in statistics) == expected[a]
+            assert gf2.weight_distribution(a) == expected[a][0]
+            for code in (a, b, a):
+                assert tuple(statistic(code) for statistic in statistics) == expected[code]
+        # Three builds (a, then b, then a again); the other ten passes hit.
+        assert gf2._shared_tables.cache_info()[:2] == (10, 3)
+
+    def test_the_cache_holds_one_codes_tables(self):
+        rng = Random(32)
+        for _ in range(20):
+            code = LinearCode(40, tuple(rng.getrandbits(40) for _ in range(10)))
+            gf2.weight_distribution(code)
+        info = gf2._shared_tables.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+        # What it holds is the last code's tables: asking again is a hit.
+        gf2._shared_tables(40, code.rows, code.dimension)
+        assert gf2._shared_tables.cache_info().hits == info.hits + 1
+
 
 def polynomial_product(p: list[int], q: list[int]) -> list[int]:
     product = [0] * (len(p) + len(q) - 1)
