@@ -9,8 +9,8 @@ constructor accepts any spanning row masks and stores their reduced
 row-echelon basis, which makes subspace equality plain value equality.
 
 All values are immutable; the only shared state is three caches of constant tuples:
-the chunk tables of the bit-sliced count, the column tables of the last code it
-counted (one code's only, shared by that code's passes) and the Krawtchouk rows of MacWilliams.
+the chunk tables of the bit-sliced count, the column tables of the last code it counted
+(keyed by its low rows, shared by that code's passes) and the Krawtchouk rows of MacWilliams.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from collections.abc import Iterable, Iterator, Sequence
 # code and its dual, so for them it bounds min(k, n - k).
 ENUMERATION_CAP = 30
 
-# Smallest dimension counted bit-sliced: at dimension 9 it beats a walk
-# 1.05x at n = 65 and 3x at n = 16, and at dimension 8 it loses from n = 48.
+# Smallest dimension counted bit-sliced.  On random codes at n = 24 to 65, dimension 9 beats a
+# walk 1.19-1.86x on the weights and 1.95-3.01x on an analyze; at 8 the weights lose from n = 40.
 _SLICED_FROM = 9
 # Lanes of 2^15 words, read by _sliced_sums at each call: 2^16 counted
 # [65, 16] and [65, 18] codes no faster and added 0.5 MB to the benchmark's peak RSS.
@@ -282,21 +282,17 @@ def _column_bits(n: int, rows: Sequence[int]) -> bytes:
     return index.to_bytes(n, "little")
 
 
-def _column_tables(n: int, rows: Sequence[int], b: int) -> list[int]:
-    """Column j's truth table over 2^b lanes: the XOR of the patterns of the low rows covering j.
+@functools.lru_cache(maxsize=1)  # one code's tables: the passes over its low rows share them
+def _column_tables(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Column j's truth table over 2^len(rows) lanes: the XOR of the row patterns covering j.
 
     Column j's bits on a chunk's rows index its entry of the chunk.
     """
     tables = None
-    for c, entries in enumerate(_chunk_tables(b)):
-        picked = [entries[i] for i in _column_bits(n, rows[4 * c:min(4 * c + 4, b)])]
+    for c, entries in enumerate(_chunk_tables(len(rows))):
+        picked = [entries[i] for i in _column_bits(n, rows[4 * c:4 * c + 4])]
         tables = picked if tables is None else list(map(operator.xor, tables, picked))
-    return tables or [0] * n
-
-
-@functools.lru_cache(maxsize=1)  # one code's tables: the passes over its low rows share them
-def _shared_tables(n: int, rows: tuple[int, ...], b: int) -> tuple[int, ...]:
-    return tuple(_column_tables(n, rows, b))
+    return tuple(tables or [0] * n)
 
 
 def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterator:
@@ -306,11 +302,11 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     span 2^b words held side by side, lane x holding the word whose bit r of
     x selects low row r, and column j is one 2^b-bit int, its truth table
     over the lanes.  Passes over the same low rows share these tables (see
-    _shared_tables).  The next m = min(_MID_ROWS, k - b) rows form the mid
+    _column_tables).  The next m = min(_MID_ROWS, k - b) rows form the mid
     tier, and a Gray walk over the remaining outer rows complements, in the
     pass's own copy, the tables of the columns the added outer row covers.
 
-    The columns are grouped once by their bits on the mid rows, their key.
+    The columns go once into 2^m groups by their bits on the mid rows, their key.
     An entry (planes, offset, size) stands for size columns of which, in
     lane x, offset plus the number the planes spell are 1.  Each outer step
     sums each group's tables once, by _carry_save, into the entry of its
@@ -334,18 +330,17 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     b = min(k, _LANE_EXPONENT)
     m = min(_MID_ROWS, k - b)
     full = (1 << (1 << b)) - 1
-    tables = list(_shared_tables(n, tuple(rows[:b]), b))  # a copy: the walk flips its tables
-    groups: dict[int, list[int]] = {}
+    tables = list(_column_tables(n, tuple(rows[:b])))  # a copy: the walk flips its tables
+    groups = [[] for _ in range(1 << m)]
     for j, key in enumerate(_column_bits(n, rows[b:b + m])):
-        groups.setdefault(key, []).append(j)
+        groups[key].append(j)
     covered = [[j for j, bit in enumerate(_column_bits(n, [row])) if bit] for row in rows[b + m:]]
     for i in range(1 << (k - b - m)):
         if i:
             for j in covered[(i & -i).bit_length() - 1]:
                 tables[j] ^= full
-        entries = [([], 0, 0)] * (1 << m)
-        for key, columns in groups.items():
-            entries[key] = (_carry_save([tables[j] for j in columns], top), 0, len(columns))
+        entries = [(_carry_save([tables[j] for j in columns], top), 0, len(columns))
+                   for columns in groups]
         for t in range(m):
             for x in range(1 << m):
                 if not x >> t & 1:

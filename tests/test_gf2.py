@@ -727,7 +727,8 @@ def column_table_cases(draw):
 
     Columns come from a small pool that holds the zero column, so zero and
     repeated columns are common, and row 0 covers columns 0 and n - 1.  The
-    k rows need not be independent, and k may be below the lane exponent.
+    k rows need not be independent; if k is below the lane exponent, every
+    row is a low row.
     """
     n = draw(st.integers(1, 70))
     k = draw(st.integers(0, 21))
@@ -970,9 +971,10 @@ class TestSlicedCounts:
     @given(column_table_cases())
     def test_column_tables_xor_the_lane_patterns_of_each_column(self, case):
         n, rows, b = case
-        expected = [reduce(xor, (lane_pattern(b, r) for r, row in enumerate(rows[:b])
-                                 if row >> j & 1), 0) for j in range(n)]
-        assert gf2._column_tables(n, rows, b) == expected
+        low = tuple(rows[:b])  # the low rows alone, over 2^len(low) lanes
+        expected = tuple(reduce(xor, (lane_pattern(len(low), r) for r, row in enumerate(low)
+                                      if row >> j & 1), 0) for j in range(n))
+        assert gf2._column_tables(n, low) == expected
 
     @pytest.mark.parametrize("b", [0, 1, 4, 8, 11, 15])
     def test_lane_width_is_read_at_each_call(self, b):
@@ -1029,15 +1031,16 @@ class TestSlicedCounts:
         code = LinearCode(65, tuple(sum(1 << coords[8 * c + i] for i in range(8) if row >> i & 1)
                                     for c in range(4) for row in hamming))
         assert code.dimension == 16
-        builds, build = [], gf2._column_tables
-        monkeypatch.setattr(gf2, "_column_tables", lambda *args: builds.append(args) or build(*args))
-        gf2._shared_tables.cache_clear()
+        # Each build of the column tables reads the chunk tables once.
+        builds, chunk_tables = [], gf2._chunk_tables
+        monkeypatch.setattr(gf2, "_chunk_tables", lambda b: builds.append(b) or chunk_tables(b))
+        gf2._column_tables.cache_clear()
         # The three passes of code analyze share one set-up.
         assert gf2.weight_distribution(code) == {0: 1, 4: 56, 8: 1180, 12: 11144, 16: 40774,
                                                  20: 11144, 24: 1180, 28: 56, 32: 1}
         assert gf2.minimum_distance(code) == 4
         assert gf2.classify_parity(code) == "doubly-even"
-        assert len(builds) == 1
+        assert builds == [15]
 
     def test_cached_tables_survive_the_walk(self):
         # Lanes of 2^4 words leave 3 mid rows and 5 outer rows on [30, 12]
@@ -1051,7 +1054,7 @@ class TestSlicedCounts:
             counts = walked_counts(code)
             expected[code] = ({w: c for w, c in enumerate(counts) if c},
                               next(w for w in range(1, len(counts)) if counts[w]), parity_of(counts))
-        gf2._shared_tables.cache_clear()
+        gf2._column_tables.cache_clear()
         with lanes(4):
             statistics = (gf2.weight_distribution, gf2.minimum_distance, gf2.classify_parity)
             assert tuple(statistic(a) for statistic in statistics) == expected[a]
@@ -1059,18 +1062,33 @@ class TestSlicedCounts:
             for code in (a, b, a):
                 assert tuple(statistic(code) for statistic in statistics) == expected[code]
         # Three builds (a, then b, then a again); the other ten passes hit.
-        assert gf2._shared_tables.cache_info()[:2] == (10, 3)
+        assert gf2._column_tables.cache_info()[:2] == (10, 3)
 
     def test_the_cache_holds_one_codes_tables(self):
         rng = Random(32)
         for _ in range(20):
             code = LinearCode(40, tuple(rng.getrandbits(40) for _ in range(10)))
             gf2.weight_distribution(code)
-        info = gf2._shared_tables.cache_info()
+        info = gf2._column_tables.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
         # What it holds is the last code's tables: asking again is a hit.
-        gf2._shared_tables(40, code.rows, code.dimension)
-        assert gf2._shared_tables.cache_info().hits == info.hits + 1
+        gf2._column_tables(40, code.rows)
+        assert gf2._column_tables.cache_info().hits == info.hits + 1
+
+    def test_codes_sharing_low_rows_share_one_build(self):
+        # Lanes of 2^4 words make the first 4 of 6 rows the low rows, the
+        # key of the cache, and the other 2 the mid rows.
+        rng = Random(33)
+        low = tuple(rng.getrandbits(30) for _ in range(4))
+        first, second = (low + (rng.getrandbits(30), rng.getrandbits(30)) for _ in range(2))
+        other = (low[0] ^ 1 << 29, *first[1:])  # one low row changed
+        gf2._column_tables.cache_clear()
+        with lanes(4):
+            for rows, hits_and_misses in ((first, (0, 1)), (second, (1, 1)), (other, (1, 2))):
+                code = LinearCode(30, rows)
+                assert code.dimension == 6
+                assert gf2._sliced_counts(30, rows) == walked_counts(code)
+                assert gf2._column_tables.cache_info()[:2] == hits_and_misses
 
 
 def polynomial_product(p: list[int], q: list[int]) -> list[int]:
