@@ -8,9 +8,9 @@ written by bit_string.  Codes are subspaces of GF(2)^n.  The LinearCode
 constructor accepts any spanning row masks and stores their reduced
 row-echelon basis, which makes subspace equality plain value equality.
 
-All values are immutable; the only shared state is three caches of constant tuples:
-the chunk tables of the bit-sliced count, the column tables of the last code it counted
-(keyed by its low rows, shared by that code's passes) and the Krawtchouk rows of MacWilliams.
+All values are immutable; the only shared state is three caches of constant tuples, which no
+pass writes: the chunk tables of the bit-sliced count, the column tables of the last code it
+counted (keyed by its low rows, shared by its passes) and the Krawtchouk rows of MacWilliams.
 """
 
 from __future__ import annotations
@@ -160,23 +160,24 @@ class LinearCode(_Value):
         return residue == 0
 
 
-def enumerate_codewords(code: LinearCode) -> Iterator[int]:
-    """Yield the masks of all 2^k codewords, zero word first.
+def _gray(rows: Sequence[int]) -> Iterator[int]:
+    """The 2^len(rows) subset sums of the rows, zero first, in binary-reflected Gray order.
 
-    Order is fixed: the binary-reflected Gray code.  Step i (for i >= 1) adds
-    basis row (i & -i).bit_length() - 1 to the previous word, so the i-th word
-    is the message i ^ (i >> 1), where bit r of the message selects basis
-    row r.  Byte-stable across runs.
+    Step i (for i >= 1) adds row (i & -i).bit_length() - 1 to the previous sum,
+    so the i-th sum is the XOR of the rows r whose bit r of i ^ (i >> 1) is set.
     """
-    k = code.dimension
-    if k > ENUMERATION_CAP:
-        raise EnumerationCapError(k)
-    rows = code.rows
     mask = 0
     yield mask
-    for i in range(1, 1 << k):
+    for i in range(1, 1 << len(rows)):
         mask ^= rows[(i & -i).bit_length() - 1]
         yield mask
+
+
+def enumerate_codewords(code: LinearCode) -> Iterator[int]:
+    """The 2^k codeword masks, _gray over the basis rows; the cap is checked at the call."""
+    if code.dimension > ENUMERATION_CAP:
+        raise EnumerationCapError(code.dimension)
+    return _gray(code.rows)
 
 
 @functools.cache
@@ -303,8 +304,8 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     x selects low row r, and column j is one 2^b-bit int, its truth table
     over the lanes.  Passes over the same low rows share these tables (see
     _column_tables).  The next m = min(_MID_ROWS, k - b) rows form the mid
-    tier, and a Gray walk over the remaining outer rows complements, in the
-    pass's own copy, the tables of the columns the added outer row covers.
+    tier, and _gray walks the remaining outer rows: the tables of the columns
+    its outer word covers enter complemented, through a view of the cached ones.
 
     The columns go once into 2^m groups by their bits on the mid rows, their key.
     An entry (planes, offset, size) stands for size columns of which, in
@@ -330,16 +331,14 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     b = min(k, _LANE_EXPONENT)
     m = min(_MID_ROWS, k - b)
     full = (1 << (1 << b)) - 1
-    tables = list(_column_tables(n, tuple(rows[:b])))  # a copy: the walk flips its tables
+    tables = _column_tables(n, tuple(rows[:b]))
     groups = [[] for _ in range(1 << m)]
     for j, key in enumerate(_column_bits(n, rows[b:b + m])):
         groups[key].append(j)
-    covered = [[j for j, bit in enumerate(_column_bits(n, [row])) if bit] for row in rows[b + m:]]
-    for i in range(1 << (k - b - m)):
-        if i:
-            for j in covered[(i & -i).bit_length() - 1]:
-                tables[j] ^= full
-        entries = [(_carry_save([tables[j] for j in columns], top), 0, len(columns))
+    for outer in _gray(rows[b + m:]):
+        view = (tables if not outer else
+                [t ^ full if outer >> j & 1 else t for j, t in enumerate(tables)])
+        entries = [(_carry_save([view[j] for j in columns], top), 0, len(columns))
                    for columns in groups]
         for t in range(m):
             for x in range(1 << m):

@@ -134,6 +134,12 @@ class TestEnumeration:
             list(gf2.enumerate_codewords(code))
         assert "2^4" in str(err.value)
 
+    def test_cap_is_checked_at_the_call(self, monkeypatch):
+        monkeypatch.setattr(gf2, "ENUMERATION_CAP", 3)
+        code = LinearCode(4, tuple(1 << i for i in range(4)))
+        with pytest.raises(gf2.EnumerationCapError):
+            gf2.enumerate_codewords(code)  # no next(): the call itself refuses
+
     def test_togliatti_enumeration(self):
         assert sum(1 for _ in gf2.enumerate_codewords(togliatti_code())) == 32
 
@@ -545,6 +551,16 @@ def small_codes(draw):
     ]))
 
 
+@st.composite
+def gray_rows(draw):
+    """0 to 10 rows of up to 70 bits; zero, repeated and dependent rows are common."""
+    n = draw(st.integers(0, 70))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    row = st.one_of(st.just(0), st.sampled_from(pool), st.lists(
+        st.sampled_from(pool), min_size=2, max_size=3).map(lambda picked: reduce(xor, picked)))
+    return draw(st.lists(row, max_size=10))
+
+
 class TestEnumeratorAgainstMessageOrder:
     """Gray-code walk and the MacWilliams dual path against a naive walk.
 
@@ -582,6 +598,14 @@ class TestEnumeratorAgainstMessageOrder:
         words = list(gf2.enumerate_codewords(code))
         assert all(type(w) is int for w in words)
         assert words == [message_word(code, i ^ (i >> 1)) for i in range(1 << code.dimension)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(gray_rows())
+    def test_gray_sums_the_rows_of_each_gray_index(self, rows):
+        sums = list(gf2._gray(rows))
+        assert len(sums) == 1 << len(rows) and sums[0] == 0
+        assert sums == [reduce(xor, (row for r, row in enumerate(rows) if (i ^ i >> 1) >> r & 1),
+                               0) for i in range(1 << len(rows))]
 
     def test_cap_bounds_the_dimension_walked(self, monkeypatch):
         monkeypatch.setattr(gf2, "ENUMERATION_CAP", 4)
@@ -1044,8 +1068,8 @@ class TestSlicedCounts:
 
     def test_cached_tables_survive_the_walk(self):
         # Lanes of 2^4 words leave 3 mid rows and 5 outer rows on [30, 12]
-        # codes, so each pass's Gray walk flips columns' tables in its copy;
-        # the cached tables must stay as built for the next pass.
+        # codes, so each pass complements the tables of its outer word's
+        # columns; the cached tables must stay as built for the next pass.
         rng = Random(31)
         a, b = (LinearCode(30, tuple(rng.getrandbits(30) for _ in range(12))) for _ in range(2))
         assert a.dimension == b.dimension == 12
@@ -1063,6 +1087,24 @@ class TestSlicedCounts:
                 assert tuple(statistic(code) for statistic in statistics) == expected[code]
         # Three builds (a, then b, then a again); the other ten passes hit.
         assert gf2._column_tables.cache_info()[:2] == (10, 3)
+
+    def test_outer_rows_sharing_a_column_cancel_there(self):
+        # Lanes of 2^4 words leave 3 mid rows and 2 outer rows on a [30, 9]
+        # code.  Both outer rows cover column 29, so the outer word that
+        # takes both leaves column 29's table uncomplemented.
+        rng = Random(34)
+        rows = tuple(1 << r | rng.getrandbits(21) << 9 | (r >= 7) << 29 for r in range(9))
+        code = LinearCode(30, rows)
+        assert code.rows == rows  # already reduced: the pivots are bits 0 to 8
+        assert rows[7] >> 29 & rows[8] >> 29 & 1 and not (rows[7] ^ rows[8]) >> 29 & 1
+        counts = walked_counts(code)
+        expected = ({w: c for w, c in enumerate(counts) if c},
+                    next(w for w in range(1, len(counts)) if counts[w]), parity_of(counts))
+        with lanes(4):
+            assert (gf2.weight_distribution(code), gf2.minimum_distance(code),
+                    gf2.classify_parity(code)) == expected
+        low = rows[:4]
+        assert gf2._column_tables(30, low) == gf2._column_tables.__wrapped__(30, low)
 
     def test_the_cache_holds_one_codes_tables(self):
         rng = Random(32)
