@@ -9,8 +9,9 @@ constructor accepts any spanning row masks and stores their reduced
 row-echelon basis, which makes subspace equality plain value equality.
 
 All values are immutable; the only shared state is three caches of constant tuples, which no
-pass writes: the chunk tables of the bit-sliced count, the column tables of the last code it
-counted (keyed by its low rows, shared by its passes) and the Krawtchouk rows of MacWilliams.
+pass writes: the chunk tables of the bit-sliced count, the set-up of the last code it counted
+(its column tables and group sums, keyed by its low and mid rows and shared by its passes) and
+the Krawtchouk rows of MacWilliams.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from collections.abc import Iterable, Iterator, Sequence
 ENUMERATION_CAP = 30
 
 # Smallest dimension counted bit-sliced.  On random codes at n = 24 to 65, dimension 9 beats a
-# walk 1.19-1.86x on the weights and 1.95-3.01x on an analyze; at 8 the weights lose from n = 40.
+# walk 1.15-1.65x on the weights and 2.88-3.94x on an analyze; at 8 an analyze still wins
+# 1.70-2.47x (n = 16 to 65) but the weights lose from n = 32.
 _SLICED_FROM = 9
 # Lanes of 2^15 words, read by _sliced_sums at each call: 2^16 counted
 # [65, 16] and [65, 18] codes no faster and added 0.5 MB to the benchmark's peak RSS.
@@ -283,11 +285,11 @@ def _column_bits(n: int, rows: Sequence[int]) -> bytes:
     return index.to_bytes(n, "little")
 
 
-@functools.lru_cache(maxsize=1)  # one code's tables: the passes over its low rows share them
-def _column_tables(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+def _column_tables(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     """Column j's truth table over 2^len(rows) lanes: the XOR of the row patterns covering j.
 
-    Column j's bits on a chunk's rows index its entry of the chunk.
+    Column j's bits on a chunk's rows index its entry of the chunk.  Uncached: _pass_setup
+    builds them once per code.
     """
     tables = None
     for c, entries in enumerate(_chunk_tables(len(rows))):
@@ -296,23 +298,41 @@ def _column_tables(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(tables or [0] * n)
 
 
+@functools.lru_cache(maxsize=1)  # one code's set-up: an analyze's passes share it
+def _pass_setup(n: int, low: tuple[int, ...], mid: tuple[int, ...]) -> tuple:
+    """(tables, groups, sums) of a bit-sliced pass over the given low and mid rows.
+
+    tables are the _column_tables of the low rows, groups[g] the columns
+    whose bits on the mid rows spell g, and sums[g] the full _carry_save
+    planes of group g's tables, the group sums of the zero outer word.
+    """
+    tables = _column_tables(n, low)
+    groups = [[] for _ in range(1 << len(mid))]
+    for j, key in enumerate(_column_bits(n, mid)):
+        groups[key].append(j)
+    return (tables, tuple(map(tuple, groups)),
+            tuple(tuple(_carry_save([tables[j] for j in columns])) for columns in groups))
+
+
 def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterator:
     """One bit-sliced pass over the span of independent rows: its weights, as lane sums.
 
     Bit-sliced (Biham, FSE 1997): the low b = min(k, _LANE_EXPONENT) rows
     span 2^b words held side by side, lane x holding the word whose bit r of
     x selects low row r, and column j is one 2^b-bit int, its truth table
-    over the lanes.  Passes over the same low rows share these tables (see
-    _column_tables).  The next m = min(_MID_ROWS, k - b) rows form the mid
+    over the lanes.  The next m = min(_MID_ROWS, k - b) rows form the mid
     tier, and _gray walks the remaining outer rows: the tables of the columns
     its outer word covers enter complemented, through a view of the cached ones.
 
-    The columns go once into 2^m groups by their bits on the mid rows, their key.
+    The columns go into 2^m groups by their bits on the mid rows, their key.
     An entry (planes, offset, size) stands for size columns of which, in
-    lane x, offset plus the number the planes spell are 1.  Each outer step
-    sums each group's tables once, by _carry_save, into the entry of its
-    key, and a butterfly over the mid rows turns the 2^m entries by key
-    into 2^m entries by mid word.  At mid row t, entries a and b whose
+    lane x, offset plus the number the planes spell are 1.  Each nonzero
+    outer word sums each group's tables once, by _carry_save, into the
+    entry of its key; the zero word takes the full group sums cut at top,
+    the same planes.  Passes over the same low and mid rows share the
+    tables, the groups and those sums (see _pass_setup).  A butterfly over
+    the mid rows then turns the 2^m entries by key into 2^m entries by mid
+    word.  At mid row t, entries a and b whose
     indices differ only in bit t become a + b, and a + b complemented for
     the words with bit t set.  The complement size_b - offset_b - c, where
     b's w planes spell c, enters as those planes XORed with all ones,
@@ -331,15 +351,15 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     b = min(k, _LANE_EXPONENT)
     m = min(_MID_ROWS, k - b)
     full = (1 << (1 << b)) - 1
-    tables = _column_tables(n, tuple(rows[:b]))
-    groups = [[] for _ in range(1 << m)]
-    for j, key in enumerate(_column_bits(n, rows[b:b + m])):
-        groups[key].append(j)
+    tables, groups, sums = _pass_setup(n, tuple(rows[:b]), tuple(rows[b:b + m]))
     for outer in _gray(rows[b + m:]):
-        view = (tables if not outer else
-                [t ^ full if outer >> j & 1 else t for j, t in enumerate(tables)])
-        entries = [(_carry_save([view[j] for j in columns], top), 0, len(columns))
-                   for columns in groups]
+        if outer:
+            view = [t ^ full if outer >> j & 1 else t for j, t in enumerate(tables)]
+            entries = [(_carry_save([view[j] for j in columns], top), 0, len(columns))
+                       for columns in groups]
+        else:
+            entries = [(list(planes[:top]), 0, len(columns))
+                       for planes, columns in zip(sums, groups)]
         for t in range(m):
             for x in range(1 << m):
                 if not x >> t & 1:
@@ -415,7 +435,8 @@ def _weight_counts(code: LinearCode) -> list[int]:
     larger one is bit-sliced.  The cap applies to the dimension counted.
     When the code itself is bit-sliced, minimum_distance and classify_parity make
     their own pass and read one branch of its planes, or planes 0 and 1, alone;
-    the passes share their set-up, the column tables, so an analyze builds them once.
+    the passes share their set-up, the column tables and the zero outer word's
+    group sums (see _pass_setup), so an analyze builds it once.
     """
     n, k = code.length, code.dimension
     walked = dual_code(code) if n - k < k else code

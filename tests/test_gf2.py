@@ -821,6 +821,9 @@ class TestAdders:
         assert len(planes) == min(top, len(bits).bit_length())
         for x in range(lanes):
             assert spelt(planes, x) == sum(b >> x & 1 for b in bits) % (1 << top)
+        # So the full sum cut at top is the same: a pass reads the cached full
+        # group sums, cut at top, for its zero outer word.
+        assert gf2._carry_save(list(bits))[:top] == planes
 
     @settings(max_examples=200)
     @given(lane_ints(2, 0, 4), st.integers(1, 3))
@@ -1055,16 +1058,38 @@ class TestSlicedCounts:
         code = LinearCode(65, tuple(sum(1 << coords[8 * c + i] for i in range(8) if row >> i & 1)
                                     for c in range(4) for row in hamming))
         assert code.dimension == 16
-        # Each build of the column tables reads the chunk tables once.
-        builds, chunk_tables = [], gf2._chunk_tables
+        # Each build of the column tables reads the chunk tables once, and
+        # each group's sum is one _carry_save.
+        builds, sums = [], []
+        chunk_tables, carry_save = gf2._chunk_tables, gf2._carry_save
         monkeypatch.setattr(gf2, "_chunk_tables", lambda b: builds.append(b) or chunk_tables(b))
-        gf2._column_tables.cache_clear()
-        # The three passes of code analyze share one set-up.
+        monkeypatch.setattr(gf2, "_carry_save",
+                            lambda bits, *top: sums.append(top) or carry_save(bits, *top))
+        gf2._pass_setup.cache_clear()
+        # The three passes of code analyze share one set-up: the column tables
+        # and the full sums of the 2 groups, which the parity pass cuts at plane 2.
         assert gf2.weight_distribution(code) == {0: 1, 4: 56, 8: 1180, 12: 11144, 16: 40774,
                                                  20: 11144, 24: 1180, 28: 56, 32: 1}
         assert gf2.minimum_distance(code) == 4
         assert gf2.classify_parity(code) == "doubly-even"
-        assert builds == [15]
+        assert (builds, sums) == ([15], [(), ()])
+
+    def test_an_analyze_through_the_dual_builds_one_set_up(self, monkeypatch):
+        # A [30, 21] code: each statistic counts its 9-dimensional dual
+        # bit-sliced, one group of all 30 columns, and maps the counts back.
+        rng = Random(35)
+        code = LinearCode(30, tuple(rng.getrandbits(30) for _ in range(21)))
+        assert code.dimension == 21
+        statistics = (gf2.weight_distribution, gf2.minimum_distance, gf2.classify_parity)
+        with mock.patch.object(gf2, "_SLICED_FROM", 10):  # the dual walked instead
+            expected = tuple(statistic(code) for statistic in statistics)
+        sums, carry_save = [], gf2._carry_save
+        monkeypatch.setattr(gf2, "_carry_save",
+                            lambda bits, *top: sums.append(top) or carry_save(bits, *top))
+        gf2._pass_setup.cache_clear()
+        assert tuple(statistic(code) for statistic in statistics) == expected
+        assert gf2._pass_setup.cache_info()[:2] == (2, 1)
+        assert sums == [()]
 
     def test_cached_tables_survive_the_walk(self):
         # Lanes of 2^4 words leave 3 mid rows and 5 outer rows on [30, 12]
@@ -1078,7 +1103,7 @@ class TestSlicedCounts:
             counts = walked_counts(code)
             expected[code] = ({w: c for w, c in enumerate(counts) if c},
                               next(w for w in range(1, len(counts)) if counts[w]), parity_of(counts))
-        gf2._column_tables.cache_clear()
+        gf2._pass_setup.cache_clear()
         with lanes(4):
             statistics = (gf2.weight_distribution, gf2.minimum_distance, gf2.classify_parity)
             assert tuple(statistic(a) for statistic in statistics) == expected[a]
@@ -1086,7 +1111,7 @@ class TestSlicedCounts:
             for code in (a, b, a):
                 assert tuple(statistic(code) for statistic in statistics) == expected[code]
         # Three builds (a, then b, then a again); the other ten passes hit.
-        assert gf2._column_tables.cache_info()[:2] == (10, 3)
+        assert gf2._pass_setup.cache_info()[:2] == (10, 3)
 
     def test_outer_rows_sharing_a_column_cancel_there(self):
         # Lanes of 2^4 words leave 3 mid rows and 2 outer rows on a [30, 9]
@@ -1103,34 +1128,37 @@ class TestSlicedCounts:
         with lanes(4):
             assert (gf2.weight_distribution(code), gf2.minimum_distance(code),
                     gf2.classify_parity(code)) == expected
-        low = rows[:4]
-        assert gf2._column_tables(30, low) == gf2._column_tables.__wrapped__(30, low)
+        low, mid = rows[:4], rows[4:7]
+        assert gf2._pass_setup(30, low, mid) == gf2._pass_setup.__wrapped__(30, low, mid)
 
     def test_the_cache_holds_one_codes_tables(self):
         rng = Random(32)
         for _ in range(20):
             code = LinearCode(40, tuple(rng.getrandbits(40) for _ in range(10)))
             gf2.weight_distribution(code)
-        info = gf2._column_tables.cache_info()
+        info = gf2._pass_setup.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
-        # What it holds is the last code's tables: asking again is a hit.
-        gf2._column_tables(40, code.rows)
-        assert gf2._column_tables.cache_info().hits == info.hits + 1
+        # What it holds is the last code's set-up (10 low rows, no mid rows):
+        # asking again is a hit.
+        gf2._pass_setup(40, code.rows, ())
+        assert gf2._pass_setup.cache_info().hits == info.hits + 1
 
-    def test_codes_sharing_low_rows_share_one_build(self):
-        # Lanes of 2^4 words make the first 4 of 6 rows the low rows, the
-        # key of the cache, and the other 2 the mid rows.
+    def test_codes_sharing_low_rows_build_their_own_set_ups(self):
+        # Lanes of 2^4 words make the first 4 of 6 rows the low rows and the
+        # other 2 the mid rows.  The group sums depend on both, so the key of
+        # the cache holds both: codes sharing only their low rows build one set-up each.
         rng = Random(33)
         low = tuple(rng.getrandbits(30) for _ in range(4))
         first, second = (low + (rng.getrandbits(30), rng.getrandbits(30)) for _ in range(2))
         other = (low[0] ^ 1 << 29, *first[1:])  # one low row changed
-        gf2._column_tables.cache_clear()
+        gf2._pass_setup.cache_clear()
         with lanes(4):
-            for rows, hits_and_misses in ((first, (0, 1)), (second, (1, 1)), (other, (1, 2))):
+            for rows, hits_and_misses in ((first, (0, 1)), (first, (1, 1)), (second, (1, 2)),
+                                          (first, (1, 3)), (other, (1, 4))):
                 code = LinearCode(30, rows)
                 assert code.dimension == 6
                 assert gf2._sliced_counts(30, rows) == walked_counts(code)
-                assert gf2._column_tables.cache_info()[:2] == hits_and_misses
+                assert gf2._pass_setup.cache_info()[:2] == hits_and_misses
 
 
 def polynomial_product(p: list[int], q: list[int]) -> list[int]:
