@@ -10,8 +10,8 @@ row-echelon basis, which makes subspace equality plain value equality.
 
 All values are immutable; the only shared state is three caches of constant tuples, which no
 pass writes: the chunk tables of the bit-sliced count, the set-up of the last code it counted
-(its column tables and group sums, keyed by its low and mid rows and shared by its passes) and
-the Krawtchouk rows of MacWilliams.
+(its column tables and the zero outer word's entries, keyed by its low and mid rows and shared
+by its passes) and the Krawtchouk rows of MacWilliams.
 """
 
 from __future__ import annotations
@@ -298,20 +298,42 @@ def _column_tables(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(tables or [0] * n)
 
 
+def _butterfly(entries: list, full: int, top: int | None = None) -> list:
+    """The 2^m entries by mid key as the 2^m entries by mid word (see _sliced_sums); consumes them.
+
+    At mid row t, entries a and b whose indices differ only in bit t become
+    a + b, and a + b complemented for the words with bit t set.  The
+    complement size_b - offset_b - c, where b's w planes spell c, enters as
+    those planes XORed with all ones, which spell 2^w - 1 - c, and the
+    offset takes size_b - offset_b - 2^w + 1.  Each sum is one _ripple add,
+    m 2^m of them in all.
+    """
+    m = len(entries).bit_length() - 1
+    for t in range(m):
+        for x in range(1 << m):
+            if not x >> t & 1:
+                (pa, oa, sa), (pb, ob, sb) = entries[x], entries[x | 1 << t]
+                entries[x] = (_ripple(pa, pb, top), oa + ob, sa + sb)
+                entries[x | 1 << t] = (_ripple(pa, [p ^ full for p in pb], top),
+                                       oa + sb - ob - (1 << len(pb)) + 1, sa + sb)
+    return entries
+
+
 @functools.lru_cache(maxsize=1)  # one code's set-up: an analyze's passes share it
 def _pass_setup(n: int, low: tuple[int, ...], mid: tuple[int, ...]) -> tuple:
-    """(tables, groups, sums) of a bit-sliced pass over the given low and mid rows.
+    """(tables, groups, entries) of a bit-sliced pass over the given low and mid rows.
 
     tables are the _column_tables of the low rows, groups[g] the columns
-    whose bits on the mid rows spell g, and sums[g] the full _carry_save
-    planes of group g's tables, the group sums of the zero outer word.
+    whose bits on the mid rows spell g, and entries the zero outer word's
+    full entries by mid word, after the _butterfly, which each pass cuts at its own top.
     """
     tables = _column_tables(n, low)
     groups = [[] for _ in range(1 << len(mid))]
     for j, key in enumerate(_column_bits(n, mid)):
         groups[key].append(j)
-    return (tables, tuple(map(tuple, groups)),
-            tuple(tuple(_carry_save([tables[j] for j in columns])) for columns in groups))
+    entries = _butterfly([(_carry_save([tables[j] for j in columns]), 0, len(columns))
+                          for columns in groups], (1 << (1 << len(low))) - 1)
+    return tables, tuple(map(tuple, groups)), tuple((tuple(p), o, s) for p, o, s in entries)
 
 
 def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterator:
@@ -326,24 +348,18 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
 
     The columns go into 2^m groups by their bits on the mid rows, their key.
     An entry (planes, offset, size) stands for size columns of which, in
-    lane x, offset plus the number the planes spell are 1.  Each nonzero
-    outer word sums each group's tables once, by _carry_save, into the
-    entry of its key; the zero word takes the full group sums cut at top,
-    the same planes.  Passes over the same low and mid rows share the
-    tables, the groups and those sums (see _pass_setup).  A butterfly over
-    the mid rows then turns the 2^m entries by key into 2^m entries by mid
-    word.  At mid row t, entries a and b whose
-    indices differ only in bit t become a + b, and a + b complemented for
-    the words with bit t set.  The complement size_b - offset_b - c, where
-    b's w planes spell c, enters as those planes XORed with all ones,
-    which spell 2^w - 1 - c, and the offset takes size_b - offset_b - 2^w
-    + 1.  Each sum is one _ripple add, m 2^m of them in all.  Yields
-    (planes, offset, full) per mid word per outer step: lane x weighs offset
-    (maybe negative) plus the number the planes spell there, full has every
-    lane set, and lane 0 of the first entry is the zero word.  With top set,
-    both adders keep planes 0..top-1 alone: a lane's planes spell its sum
-    mod 2^top (a complement spells 2^w - 1 - c, w <= top, exact mod 2^top),
-    and the offsets stay exact.
+    lane x, offset plus the number the planes spell are 1.  Each outer word
+    sums each group's tables once, by _carry_save, into the entry of its
+    key, and a _butterfly turns the entries by key into entries by mid word.
+    Yields (planes, offset, full) per mid word per outer step: lane x weighs
+    offset (maybe negative) plus the number the planes spell there, full has
+    every lane set, and lane 0 of the first entry is the zero word.  With top
+    set, both adders keep planes 0..top-1 alone: a lane's planes spell its
+    sum mod 2^top (a complement spells 2^w - 1 - c, w <= top, exact mod
+    2^top), and the offsets stay exact.  The zero outer word's full entries
+    are built once (see _pass_setup) and cut at top: planes below top depend
+    only on planes below top, and a complement of w >= top planes moves the
+    offset by a multiple of 2^top, so each lane still spells its sum mod 2^top.
     """
     k = len(rows)
     if k > ENUMERATION_CAP:
@@ -351,24 +367,15 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     b = min(k, _LANE_EXPONENT)
     m = min(_MID_ROWS, k - b)
     full = (1 << (1 << b)) - 1
-    tables, groups, sums = _pass_setup(n, tuple(rows[:b]), tuple(rows[b:b + m]))
+    tables, groups, zero = _pass_setup(n, tuple(rows[:b]), tuple(rows[b:b + m]))
     for outer in _gray(rows[b + m:]):
+        entries = zero
         if outer:
             view = [t ^ full if outer >> j & 1 else t for j, t in enumerate(tables)]
-            entries = [(_carry_save([view[j] for j in columns], top), 0, len(columns))
-                       for columns in groups]
-        else:
-            entries = [(list(planes[:top]), 0, len(columns))
-                       for planes, columns in zip(sums, groups)]
-        for t in range(m):
-            for x in range(1 << m):
-                if not x >> t & 1:
-                    (pa, oa, sa), (pb, ob, sb) = entries[x], entries[x | 1 << t]
-                    entries[x] = (_ripple(pa, pb, top), oa + ob, sa + sb)
-                    entries[x | 1 << t] = (_ripple(pa, [p ^ full for p in pb], top),
-                                           oa + sb - ob - (1 << len(pb)) + 1, sa + sb)
+            entries = _butterfly([(_carry_save([view[j] for j in columns], top), 0, len(columns))
+                                  for columns in groups], full, top)
         for planes, offset, _ in entries:
-            yield planes, offset, full
+            yield list(planes[:top]), offset, full
 
 
 def _sliced_counts(n: int, rows: Sequence[int]) -> list[int]:
@@ -436,7 +443,7 @@ def _weight_counts(code: LinearCode) -> list[int]:
     When the code itself is bit-sliced, minimum_distance and classify_parity make
     their own pass and read one branch of its planes, or planes 0 and 1, alone;
     the passes share their set-up, the column tables and the zero outer word's
-    group sums (see _pass_setup), so an analyze builds it once.
+    entries (see _pass_setup), so an analyze builds and butterflies it once.
     """
     n, k = code.length, code.dimension
     walked = dual_code(code) if n - k < k else code

@@ -739,6 +739,42 @@ def wide_walk_codes(draw):
     return LinearCode(n, tuple(rows))
 
 
+@st.composite
+def outer_row_codes(draw):
+    """(code, rows): k = 8 to 12 rows spelt out column by column, one identity column each.
+
+    Lanes of 2^4 words and 3 mid rows leave 1 to 5 outer rows.  A third of
+    the draws add the XOR of the columns, which makes every row even, and a
+    third repeat every column four times, which makes the code doubly-even.
+    """
+    k = draw(st.integers(8, 12))
+    columns = [1 << r for r in range(k)]
+    columns += draw(st.lists(st.integers(0, (1 << k) - 1), max_size=12))
+    shape = draw(st.sampled_from(["plain", "even", "doubly-even"]))
+    if shape == "even":
+        columns.append(reduce(xor, columns))
+    elif shape == "doubly-even":
+        columns = [c for c in columns for _ in range(4)]
+    rows = tuple(sum(1 << j for j, c in enumerate(columns) if c >> r & 1) for r in range(k))
+    return LinearCode(len(columns), rows), rows
+
+
+def hamming_blocks(k: int) -> LinearCode:
+    """A doubly-even [65, k] code, k = 16 to 18, on coordinates shuffled by Random(30).
+
+    Four extended Hamming [8, 4, 4] codes and k - 16 words of weight 8, all
+    on disjoint coordinates.  Counted bit-sliced it has k - 15 mid rows and
+    no outer row.
+    """
+    hamming = (0b11111111, 0b11110000, 0b11001100, 0b10101010)
+    coords = list(range(65))
+    Random(30).shuffle(coords)
+    blocks = [(c, row) for c in range(4) for row in hamming]
+    blocks += [(c, 0xFF) for c in range(4, k - 12)]
+    return LinearCode(65, tuple(sum(1 << coords[8 * c + i] for i in range(8) if row >> i & 1)
+                                for c, row in blocks))
+
+
 @cache
 def lane_pattern(b: int, r: int) -> int:
     """Low row r's truth table over 2^b lanes: lane x, bit x of the int, is bit r of x."""
@@ -821,8 +857,8 @@ class TestAdders:
         assert len(planes) == min(top, len(bits).bit_length())
         for x in range(lanes):
             assert spelt(planes, x) == sum(b >> x & 1 for b in bits) % (1 << top)
-        # So the full sum cut at top is the same: a pass reads the cached full
-        # group sums, cut at top, for its zero outer word.
+        # So the full sum cut at top is the same: a pass cuts the zero outer
+        # word's cached entries, summed and butterflied in full, at its top.
         assert gf2._carry_save(list(bits))[:top] == planes
 
     @settings(max_examples=200)
@@ -918,13 +954,24 @@ class TestSlicedCounts:
         with lanes(2):
             assert [(planes[:2], offset) for planes, offset, _ in gf2._sliced_sums(12, rows)] == [
                 ([0, 0], 0), ([full, full], -3)]
-            # The parity pass stops the group's sum at plane 1, so the
-            # complement spells 3 - c and the offset is 12 - 4 + 1 = 9: odd again.
+            # The parity pass cuts the zero outer word's full entries at plane
+            # 2: the same planes and the same offset -3, exact mod 4.
             assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(12, rows, 2)] == [
-                ([0, 0], 0), ([full, full], 9)]
+                ([0, 0], 0), ([full, full], -3)]
             assert gf2._sliced_parity(12, rows) == "doubly-even"
             assert gf2._sliced_minimum(12, rows) == 4
         check_mod_4_pass(12, rows, 2)
+        # Four more columns and a row of their own, the one outer row when
+        # the mid tier is one row: its outer word sums its own groups at top
+        # 2.  There the group of 12 stops at plane 1, so the complement
+        # spells 3 - c and the offset is 12 - 4 + 1 = 9: odd again.
+        rows = tuple(row | (r == 3) * 0b1111 << 12 for r, row in enumerate(rows + (0,)))
+        with lanes(2), mock.patch.object(gf2, "_MID_ROWS", 1):
+            assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(16, rows, 2)] == [
+                ([0, 0], 0), ([full, full], -3), ([0, 0], 0), ([full, full], 9)]
+            assert gf2._sliced_parity(16, rows) == "doubly-even"
+            assert gf2._sliced_minimum(16, rows) == 4
+            check_mod_4_pass(16, rows, 2)
 
     def test_parity_reads_every_entry(self):
         # Lanes over rows 0 and 1, both of weight 2; row 2 is odd, so the
@@ -1052,11 +1099,7 @@ class TestSlicedCounts:
     def test_an_analyze_builds_the_column_tables_once(self, monkeypatch):
         # Four extended Hamming [8, 4, 4] codes on shuffled coordinates: a
         # doubly-even [65, 16] code, counted bit-sliced with one mid row.
-        hamming = (0b11111111, 0b11110000, 0b11001100, 0b10101010)
-        coords = list(range(65))
-        Random(30).shuffle(coords)
-        code = LinearCode(65, tuple(sum(1 << coords[8 * c + i] for i in range(8) if row >> i & 1)
-                                    for c in range(4) for row in hamming))
+        code = hamming_blocks(16)
         assert code.dimension == 16
         # Each build of the column tables reads the chunk tables once, and
         # each group's sum is one _carry_save.
@@ -1067,12 +1110,49 @@ class TestSlicedCounts:
                             lambda bits, *top: sums.append(top) or carry_save(bits, *top))
         gf2._pass_setup.cache_clear()
         # The three passes of code analyze share one set-up: the column tables
-        # and the full sums of the 2 groups, which the parity pass cuts at plane 2.
+        # and the full sums of the 2 groups, butterflied once into the zero
+        # outer word's entries, which the parity pass cuts at plane 2.
         assert gf2.weight_distribution(code) == {0: 1, 4: 56, 8: 1180, 12: 11144, 16: 40774,
                                                  20: 11144, 24: 1180, 28: 56, 32: 1}
         assert gf2.minimum_distance(code) == 4
         assert gf2.classify_parity(code) == "doubly-even"
         assert (builds, sums) == ([15], [(), ()])
+
+    @pytest.mark.parametrize("k, ripples", [(16, 2), (18, 24)])
+    def test_an_analyze_butterflies_the_zero_outer_word_once(self, monkeypatch, k, ripples):
+        # m = k - 15 mid rows and no outer row: one butterfly is m 2^m
+        # _ripple adds, made in full by the set-up alone, whose entries the
+        # three passes cut (a butterfly per statistic made 6 and 72).
+        code = hamming_blocks(k)
+        assert code.dimension == k
+        adds, ripple = [], gf2._ripple
+        monkeypatch.setattr(gf2, "_ripple",
+                            lambda a, b, top=None: adds.append(top) or ripple(a, b, top))
+        gf2._pass_setup.cache_clear()
+        statistics = (gf2.weight_distribution(code), gf2.minimum_distance(code),
+                      gf2.classify_parity(code))
+        assert adds == [None] * ripples
+        counts = walked_counts(code)
+        assert statistics == ({w: c for w, c in enumerate(counts) if c}, 4, "doubly-even")
+
+    @settings(max_examples=60, deadline=None)
+    @given(outer_row_codes(), st.permutations(["counts", "minimum", "parity"]))
+    def test_readers_in_any_order_match_the_walk_above_the_mid_tier(self, case, order):
+        # Lanes of 2^4 words leave 3 mid rows and 1 to 5 outer rows: the zero
+        # outer word's entries come from the set-up, built in full and cut at
+        # each reader's top, and every other outer word butterflies its own.
+        code, rows = case
+        counts = walked_counts(code)
+        readers = {"counts": (gf2._sliced_counts, counts),
+                   "minimum": (gf2._sliced_minimum, next(w for w in range(1, len(counts))
+                                                         if counts[w])),
+                   "parity": (gf2._sliced_parity, parity_of(counts))}
+        gf2._pass_setup.cache_clear()
+        with lanes(4):
+            for name in order:
+                reader, expected = readers[name]
+                assert reader(code.length, rows) == expected
+        assert gf2._pass_setup.cache_info()[:2] == (2, 1)
 
     def test_an_analyze_through_the_dual_builds_one_set_up(self, monkeypatch):
         # A [30, 21] code: each statistic counts its 9-dimensional dual
