@@ -207,7 +207,7 @@ _CASES = {
 
 _H2_HYPOTHESES = {
     "vanishes": "the second cohomology group at this twist vanishes (dual "
-                "twist is negative) and the first is assumed nonnegative only",
+                "twist is {}) and the first is assumed nonnegative only",
     "equals-h0": "the twist is self-dual, so second and zeroth cohomology "
                  "dimensions agree",
     "at-most-one": "at most one surface of the lower contact degree can cut "
@@ -268,8 +268,8 @@ def derive_gaps(s: int, parity: str) -> ProofCertificate:
             asserted_output=formulas.chi(s, case.twist, w),
         ))
     boundary_chi = formulas.chi(s, case.twist, case.cap)
-    steps.append(Step(rule="hypothesis", inputs={},
-                      asserted_output=True, note=_H2_HYPOTHESES[case.h2_mode]))
+    steps.append(Step(rule="hypothesis", inputs={}, asserted_output=True,
+                      note=_H2_HYPOTHESES[case.h2_mode].format("negative" if dual < 0 else "zero")))
     if case.h2_mode == "equals-h0":
         h0_inputs: dict[str, object] = {"chi": boundary_chi, "h2_equals_h0": True}
         h0_bound = math.ceil(boundary_chi / 2)

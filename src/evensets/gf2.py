@@ -10,8 +10,8 @@ row-echelon basis, which makes subspace equality plain value equality.
 
 All values are immutable; the only shared state is three caches of constant tuples, which no
 pass writes: the chunk tables of the bit-sliced count, the set-up of the last code it counted
-(its column tables and the zero outer word's entries, keyed by its low and mid rows and shared
-by its passes) and the Krawtchouk rows of MacWilliams.
+(its column tables and the zero outer word's entries, keyed by its low and mid rows; each
+pass yields those entries as they are) and the Krawtchouk rows of MacWilliams.
 """
 
 from __future__ import annotations
@@ -203,21 +203,17 @@ def _macwilliams(n: int, dual_dimension: int, counts: Sequence[int]) -> list[int
     return [sum(column) >> dual_dimension for column in zip(*terms)]
 
 
-def _carry_save(bits: list[int], top: int | None = None) -> list[int]:
-    """Bit planes 0..top-1 (all if top is None) of the lane-wise sum of the ints; consumes them.
+def _carry_save(bits: list[int]) -> list[int]:
+    """The bit planes of the lane-wise sum of the ints; consumes them.
 
     A carry-save reduction (Harley-Seal, as in Muła, Kurz & Lemire, Comput.
     J. 61, 2018): a full adder turns three bits of a plane into a sum bit
     there and a carry bit for the next plane, a leftover pair takes a zero
     third bit, and the carries are reduced likewise into the next plane.
-    s ints give s.bit_length() planes.  Plane top - 1 is the XOR of the ints
-    left, making no carries: the planes spell each lane's sum mod 2^top.
+    s ints give s.bit_length() planes.
     """
     planes: list[int] = []
     while bits:
-        if len(planes) + 1 == top:
-            planes.append(functools.reduce(operator.xor, bits))
-            break
         carries = []
         while len(bits) > 1:
             x, y = bits.pop(), bits.pop()
@@ -230,21 +226,17 @@ def _carry_save(bits: list[int], top: int | None = None) -> list[int]:
     return planes
 
 
-def _ripple(a: list[int], b: list[int], top: int | None = None) -> list[int]:
-    """Planes 0..top-1 (all if top is None) of the lane sums of the numbers a and b spell."""
+def _ripple(a: list[int], b: list[int]) -> list[int]:
+    """The planes of the lane sums of the numbers a and b spell."""
     if len(a) < len(b):
         a, b = b, a
     planes, carry = [], 0
     for x, y in zip(a, b):
         u = x ^ y
         planes.append(u ^ carry)
-        if len(planes) == top:  # as in _carry_save, plane top - 1 makes no carry
-            return planes
         carry = x & y | u & carry
     for x in a[len(b):]:
         planes.append(x ^ carry)
-        if len(planes) == top:
-            return planes
         carry &= x
     return planes + [carry] if carry else planes
 
@@ -298,7 +290,7 @@ def _column_tables(n: int, rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(tables or [0] * n)
 
 
-def _butterfly(entries: list, full: int, top: int | None = None) -> list:
+def _butterfly(entries: list, full: int) -> list:
     """The 2^m entries by mid key as the 2^m entries by mid word (see _sliced_sums); consumes them.
 
     At mid row t, entries a and b whose indices differ only in bit t become
@@ -313,8 +305,8 @@ def _butterfly(entries: list, full: int, top: int | None = None) -> list:
         for x in range(1 << m):
             if not x >> t & 1:
                 (pa, oa, sa), (pb, ob, sb) = entries[x], entries[x | 1 << t]
-                entries[x] = (_ripple(pa, pb, top), oa + ob, sa + sb)
-                entries[x | 1 << t] = (_ripple(pa, [p ^ full for p in pb], top),
+                entries[x] = (_ripple(pa, pb), oa + ob, sa + sb)
+                entries[x | 1 << t] = (_ripple(pa, [p ^ full for p in pb]),
                                        oa + sb - ob - (1 << len(pb)) + 1, sa + sb)
     return entries
 
@@ -325,7 +317,7 @@ def _pass_setup(n: int, low: tuple[int, ...], mid: tuple[int, ...]) -> tuple:
 
     tables are the _column_tables of the low rows, groups[g] the columns
     whose bits on the mid rows spell g, and entries the zero outer word's
-    full entries by mid word, after the _butterfly, which each pass cuts at its own top.
+    entries by mid word, after the _butterfly, which every pass yields as they are.
     """
     tables = _column_tables(n, low)
     groups = [[] for _ in range(1 << len(mid))]
@@ -336,7 +328,7 @@ def _pass_setup(n: int, low: tuple[int, ...], mid: tuple[int, ...]) -> tuple:
     return tables, tuple(map(tuple, groups)), tuple((tuple(p), o, s) for p, o, s in entries)
 
 
-def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterator:
+def _sliced_sums(n: int, rows: Sequence[int]) -> Iterator:
     """One bit-sliced pass over the span of independent rows: its weights, as lane sums.
 
     Bit-sliced (Biham, FSE 1997): the low b = min(k, _LANE_EXPONENT) rows
@@ -353,13 +345,8 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
     key, and a _butterfly turns the entries by key into entries by mid word.
     Yields (planes, offset, full) per mid word per outer step: lane x weighs
     offset (maybe negative) plus the number the planes spell there, full has
-    every lane set, and lane 0 of the first entry is the zero word.  With top
-    set, both adders keep planes 0..top-1 alone: a lane's planes spell its
-    sum mod 2^top (a complement spells 2^w - 1 - c, w <= top, exact mod
-    2^top), and the offsets stay exact.  The zero outer word's full entries
-    are built once (see _pass_setup) and cut at top: planes below top depend
-    only on planes below top, and a complement of w >= top planes moves the
-    offset by a multiple of 2^top, so each lane still spells its sum mod 2^top.
+    every lane set, and lane 0 of the first entry is the zero word.  The zero
+    outer word's entries are built once (see _pass_setup) and yielded as cached.
     """
     k = len(rows)
     if k > ENUMERATION_CAP:
@@ -372,10 +359,10 @@ def _sliced_sums(n: int, rows: Sequence[int], top: int | None = None) -> Iterato
         entries = zero
         if outer:
             view = [t ^ full if outer >> j & 1 else t for j, t in enumerate(tables)]
-            entries = _butterfly([(_carry_save([view[j] for j in columns], top), 0, len(columns))
-                                  for columns in groups], full, top)
+            entries = _butterfly([(_carry_save([view[j] for j in columns]), 0, len(columns))
+                                  for columns in groups], full)
         for planes, offset, _ in entries:
-            yield list(planes[:top]), offset, full
+            yield planes, offset, full
 
 
 def _sliced_counts(n: int, rows: Sequence[int]) -> list[int]:
@@ -419,14 +406,14 @@ def _sliced_minimum(n: int, rows: Sequence[int]) -> int:
 
 
 def _sliced_parity(n: int, rows: Sequence[int]) -> str:
-    """classify_parity of the span of independent rows, from a pass summed mod 4 (top 2).
+    """classify_parity of the span of independent rows, from planes 0 and 1 of a full pass.
 
     A lane is odd where plane 0 is not the offset's bit 0.  With all even, bit
     0 carries: 0 mod 4 where plane 1 is the offset's bit 1 XOR bit 0.
     """
     doubly = True
-    for planes, offset, full in _sliced_sums(n, rows, 2):
-        low, second, *_ = planes + [0, 0]
+    for planes, offset, full in _sliced_sums(n, rows):
+        low, second, *_ = (*planes, 0, 0)
         if low ^ (full if offset & 1 else 0):
             return "not-even"
         doubly = doubly and second == (full if (offset ^ offset >> 1) & 1 else 0)
@@ -441,7 +428,7 @@ def _weight_counts(code: LinearCode) -> list[int]:
     _SLICED_FROM is walked word by word through enumerate_codewords; a
     larger one is bit-sliced.  The cap applies to the dimension counted.
     When the code itself is bit-sliced, minimum_distance and classify_parity make
-    their own pass and read one branch of its planes, or planes 0 and 1, alone;
+    their own full pass and read one branch of its planes, or planes 0 and 1, alone;
     the passes share their set-up, the column tables and the zero outer word's
     entries (see _pass_setup), so an analyze builds and butterflies it once.
     """

@@ -127,8 +127,8 @@ GAPS_PINNED = [
      "27a6d71e55d8766aa6ca164ac1a02f440d73e1c566de6e536f85dca637821a2a"),
     (4, "strict", "e8216471906d2a36b6e5f934ebfdbe57bcab0c3949f0459d8d133e8e08d1a039",
      "17af6dc096e8f1278114d2fe1452f87304b534ccd7d665a2d5b363573138b0f8"),
-    (5, "strict", "4c0deec07a7e1dba8882b6b2150f7a67876a07ab48201c38e9b692a8214a0b7f",
-     "46df067ae86a3b6c66a4a7e28777735b31ff8a75cd5517ee04eb85b3f0068e29"),
+    (5, "strict", "d83f3809c9e08f94c91cab9b609a5a01d0f7e0fe8a716225ed8b59173884b8ad",
+     "86a7455e36faae4190723318595624a3d35263d7f50f3c968f1d79ee3ff0c9d6"),
     (6, "strict", "03de8b1f3ee66988989b9649ee58f9779a6e6f7062232c169914abf5a7cdf2a8",
      "98338f92b692ae31a6814de8f476bdad8abfa6de53ad667b0ccee2bd99396d68"),
     (7, "strict", "728813651c7eb5458fa83d18fa167655c839095041f39318779d0ed2b39aaa58",

@@ -848,48 +848,6 @@ class TestAdders:
         for x in range(lanes):
             assert spelt(planes, x) == spelt(a, x) + spelt(b, x)
 
-    @settings(max_examples=200)
-    @given(lane_ints(1, 1, 70), st.integers(1, 3))
-    @example((1, [1, 1, 1, 1]), 2)  # 4 = 0b100: the carry into plane 2 is dropped
-    def test_carry_save_below_top_spells_each_lane_sum_mod_2_to_the_top(self, case, top):
-        lanes, bits = case
-        planes = gf2._carry_save(list(bits), top)
-        assert len(planes) == min(top, len(bits).bit_length())
-        for x in range(lanes):
-            assert spelt(planes, x) == sum(b >> x & 1 for b in bits) % (1 << top)
-        # So the full sum cut at top is the same: a pass cuts the zero outer
-        # word's cached entries, summed and butterflied in full, at its top.
-        assert gf2._carry_save(list(bits))[:top] == planes
-
-    @settings(max_examples=200)
-    @given(lane_ints(2, 0, 4), st.integers(1, 3))
-    @example((4, [0b1111, 0b1010], [0b0110, 0b0011]), 2)  # lane 1: 3 + 3 carries into plane 2
-    @example((2, [0b11, 0b11, 0b11], [0b10]), 3)  # lane 1: 7 + 1 carries into plane 3
-    def test_ripple_below_top_spells_each_lane_sum_mod_2_to_the_top(self, case, top):
-        lanes, a, b = case
-        planes = gf2._ripple(a, b, top)
-        assert len(planes) <= top
-        for x in range(lanes):
-            assert spelt(planes, x) == (spelt(a, x) + spelt(b, x)) % (1 << top)
-
-
-def mod_4(planes: list[int], offset: int, full: int) -> tuple[int, int]:
-    """Planes 0 and 1 of offset plus the number the planes spell, in every lane."""
-    low, second = (planes + [0, 0])[:2]
-    bit_0, bit_1 = (full if offset & 1 else 0), (full if offset & 2 else 0)
-    return low ^ bit_0, second ^ bit_1 ^ low & bit_0
-
-
-def check_mod_4_pass(n: int, rows: tuple[int, ...], lane_exponent: int) -> None:
-    """The pass at top 2 against the full pass: each lane's weight agrees mod 4."""
-    with lanes(lane_exponent):
-        whole = list(gf2._sliced_sums(n, rows))
-        truncated = list(gf2._sliced_sums(n, rows, 2))
-    assert len(truncated) == len(whole)
-    for (planes, offset, full), (low, low_offset, low_full) in zip(whole, truncated):
-        assert low_full == full and len(low) <= 2
-        assert mod_4(low, low_offset, full) == mod_4(planes, offset, full)
-
 
 class TestSlicedCounts:
     """The bit-sliced count against the Gray walk, which stays the reference."""
@@ -921,25 +879,18 @@ class TestSlicedCounts:
     def test_full_mid_tier_matches_the_walk(self, case):
         check_readers(*case)
 
-    @settings(max_examples=200, deadline=None)
-    @given(sliced_cases() | full_mid_cases()
-           | deep_cases().map(lambda case: (case[0], case[0].rows, case[1])))
-    def test_mod_4_pass_agrees_with_the_full_pass(self, case):
-        code, rows, lane_exponent = case
-        check_mod_4_pass(code.length, rows, lane_exponent)
-
-    def test_mod_4_pass_at_lane_exponent_0_and_on_a_one_column_group(self):
+    def test_readers_at_lane_exponent_0_and_on_a_one_column_group(self):
         # Lane exponent 0: every row is a mid or outer row, and each entry
         # holds one lane.
         for n, rows in ((5, (0b11, 0b1100, 0b10000)), (32, ((1 << 32) - 1,))):
-            check_mod_4_pass(n, rows, 0)
+            check_readers(LinearCode(n, rows), rows, 0)
         # Column 2 alone has key 1, so its group enters complemented with
-        # w = 1 plane, below top: 2^1 - 1 - c spells the complement unpadded.
+        # w = 1 plane: 2^1 - 1 - c spells the complement unpadded.
         rows = (0b011, 0b100)
-        check_mod_4_pass(3, rows, 1)
+        check_readers(LinearCode(3, rows), rows, 1)
         with lanes(1):
-            assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(3, rows, 2)] == [
-                ([0, 0b10], 0), ([0b11, 0b10], 0)]
+            assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(3, rows)] == [
+                ((0, 0b10), 0), ((0b11, 0b10), 0)]
 
     def test_parity_carries_an_odd_offset_into_bit_1(self):
         # Three columns, each repeated four times: two low rows of weight 4
@@ -952,26 +903,23 @@ class TestSlicedCounts:
         rows = tuple(sum(1 << j for j, c in enumerate(columns) if c >> r & 1) for r in range(3))
         full = 0b1111
         with lanes(2):
-            assert [(planes[:2], offset) for planes, offset, _ in gf2._sliced_sums(12, rows)] == [
-                ([0, 0], 0), ([full, full], -3)]
-            # The parity pass cuts the zero outer word's full entries at plane
-            # 2: the same planes and the same offset -3, exact mod 4.
-            assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(12, rows, 2)] == [
-                ([0, 0], 0), ([full, full], -3)]
+            assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(12, rows)] == [
+                ((0, 0, 0b0110, 0b1000), 0), ((full, full, 0b1001, 0b0111), -3)]
             assert gf2._sliced_parity(12, rows) == "doubly-even"
             assert gf2._sliced_minimum(12, rows) == 4
-        check_mod_4_pass(12, rows, 2)
+        check_readers(LinearCode(12, rows), rows, 2)
         # Four more columns and a row of their own, the one outer row when
-        # the mid tier is one row: its outer word sums its own groups at top
-        # 2.  There the group of 12 stops at plane 1, so the complement
-        # spells 3 - c and the offset is 12 - 4 + 1 = 9: odd again.
+        # the mid tier is one row: its outer word sums its own groups.  The
+        # group of 12 again complements to 15 - c, and the group of the four
+        # complemented columns adds 4, so the offset is -3 again: odd.
         rows = tuple(row | (r == 3) * 0b1111 << 12 for r, row in enumerate(rows + (0,)))
         with lanes(2), mock.patch.object(gf2, "_MID_ROWS", 1):
-            assert [(planes, offset) for planes, offset, _ in gf2._sliced_sums(16, rows, 2)] == [
-                ([0, 0], 0), ([full, full], -3), ([0, 0], 0), ([full, full], 9)]
+            assert [(list(p), offset) for p, offset, _ in gf2._sliced_sums(16, rows)] == [
+                ([0, 0, 0b0110, 0b1000], 0), ([full, full, 0b1001, 0b0111], -3),
+                ([0, 0, 0b1001, 0b1110], 0), ([full, full, 0b0110, 0b1110, 0b0001], -3)]
             assert gf2._sliced_parity(16, rows) == "doubly-even"
             assert gf2._sliced_minimum(16, rows) == 4
-            check_mod_4_pass(16, rows, 2)
+            check_readers(LinearCode(16, rows), rows, 2)
 
     def test_parity_reads_every_entry(self):
         # Lanes over rows 0 and 1, both of weight 2; row 2 is odd, so the
@@ -1078,15 +1026,14 @@ class TestSlicedCounts:
         walk, sliced = gf2.enumerate_codewords, gf2._sliced_sums
         monkeypatch.setattr(gf2, "enumerate_codewords",
                             lambda code: walks.append(code.dimension) or walk(code))
-        # Each pass is recorded as (dimension, plane limit): the parity pass
-        # of a sliced code sums mod 4 (top 2), every other pass in full.
+        # Each pass is recorded as (dimension, any further arguments): every
+        # pass, the parity reader's too, is a full pass.
         monkeypatch.setattr(gf2, "_sliced_sums", lambda n, rows, *args: passes.append(
-            (len(rows), *(args or [None]))) or sliced(n, rows, *args))
+            (len(rows), *args)) or sliced(n, rows, *args))
         # [16, 8] walks the code, [18, 9] slices it, and [20, 11] slices
         # its 9-dimensional dual.  Each statistic makes its own pass.
         for (n, k), walked, sliced_passes in (
-                ((16, 8), [8] * 3, []), ((18, 9), [], [(9, None), (9, None), (9, 2)]),
-                ((20, 11), [], [(9, None)] * 3)):
+                ((16, 8), [8] * 3, []), ((18, 9), [], [(9,)] * 3), ((20, 11), [], [(9,)] * 3)):
             walks.clear()
             passes.clear()
             code = LinearCode(n, tuple(1 << i | 1 << (k + i % (n - k)) for i in range(k)))
@@ -1107,11 +1054,11 @@ class TestSlicedCounts:
         chunk_tables, carry_save = gf2._chunk_tables, gf2._carry_save
         monkeypatch.setattr(gf2, "_chunk_tables", lambda b: builds.append(b) or chunk_tables(b))
         monkeypatch.setattr(gf2, "_carry_save",
-                            lambda bits, *top: sums.append(top) or carry_save(bits, *top))
+                            lambda bits, *args: sums.append(args) or carry_save(bits, *args))
         gf2._pass_setup.cache_clear()
         # The three passes of code analyze share one set-up: the column tables
-        # and the full sums of the 2 groups, butterflied once into the zero
-        # outer word's entries, which the parity pass cuts at plane 2.
+        # and the sums of the 2 groups, butterflied once into the zero outer
+        # word's entries, which every pass yields as they are.
         assert gf2.weight_distribution(code) == {0: 1, 4: 56, 8: 1180, 12: 11144, 16: 40774,
                                                  20: 11144, 24: 1180, 28: 56, 32: 1}
         assert gf2.minimum_distance(code) == 4
@@ -1121,17 +1068,17 @@ class TestSlicedCounts:
     @pytest.mark.parametrize("k, ripples", [(16, 2), (18, 24)])
     def test_an_analyze_butterflies_the_zero_outer_word_once(self, monkeypatch, k, ripples):
         # m = k - 15 mid rows and no outer row: one butterfly is m 2^m
-        # _ripple adds, made in full by the set-up alone, whose entries the
-        # three passes cut (a butterfly per statistic made 6 and 72).
+        # _ripple adds, made by the set-up alone, whose entries the three
+        # passes share (a butterfly per statistic made 6 and 72).
         code = hamming_blocks(k)
         assert code.dimension == k
         adds, ripple = [], gf2._ripple
         monkeypatch.setattr(gf2, "_ripple",
-                            lambda a, b, top=None: adds.append(top) or ripple(a, b, top))
+                            lambda a, b, *args: adds.append(args) or ripple(a, b, *args))
         gf2._pass_setup.cache_clear()
         statistics = (gf2.weight_distribution(code), gf2.minimum_distance(code),
                       gf2.classify_parity(code))
-        assert adds == [None] * ripples
+        assert adds == [()] * ripples
         counts = walked_counts(code)
         assert statistics == ({w: c for w, c in enumerate(counts) if c}, 4, "doubly-even")
 
@@ -1139,8 +1086,8 @@ class TestSlicedCounts:
     @given(outer_row_codes(), st.permutations(["counts", "minimum", "parity"]))
     def test_readers_in_any_order_match_the_walk_above_the_mid_tier(self, case, order):
         # Lanes of 2^4 words leave 3 mid rows and 1 to 5 outer rows: the zero
-        # outer word's entries come from the set-up, built in full and cut at
-        # each reader's top, and every other outer word butterflies its own.
+        # outer word's entries come from the set-up, shared by every reader,
+        # and every other outer word butterflies its own.
         code, rows = case
         counts = walked_counts(code)
         readers = {"counts": (gf2._sliced_counts, counts),
@@ -1165,7 +1112,7 @@ class TestSlicedCounts:
             expected = tuple(statistic(code) for statistic in statistics)
         sums, carry_save = [], gf2._carry_save
         monkeypatch.setattr(gf2, "_carry_save",
-                            lambda bits, *top: sums.append(top) or carry_save(bits, *top))
+                            lambda bits, *args: sums.append(args) or carry_save(bits, *args))
         gf2._pass_setup.cache_clear()
         assert tuple(statistic(code) for statistic in statistics) == expected
         assert gf2._pass_setup.cache_info()[:2] == (2, 1)
